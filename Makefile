@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt fmt-check bench bench-json bench-smoke bench-check golden golden-update tuning-smoke shard-smoke service-smoke workload-smoke workload-smoke-update fuzz-smoke coherence-race resilience-race chaos-smoke ci
+.PHONY: build test vet fmt fmt-check bench bench-json bench-smoke bench-check golden golden-update tuning-smoke shard-smoke service-smoke workload-smoke workload-smoke-update fuzz-smoke sweep-fuzz-smoke coherence-race resilience-race chaos-smoke ci
 
 build:
 	$(GO) build ./...
@@ -39,7 +39,7 @@ bench:
 # exit status and let a partial run slip through.
 bench-json:
 	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
-	$(GO) test -bench 'BenchmarkTableI|BenchmarkTableII|BenchmarkStep' -benchtime 1s -run '^$$' . ./internal/machine > "$$tmp" && \
+	$(GO) test -bench 'BenchmarkTableI|BenchmarkTableII|BenchmarkStep|BenchmarkSweep' -benchtime 1s -run '^$$' . ./internal/machine > "$$tmp" && \
 	$(GO) run ./cmd/benchjson -label current -out BENCH_baseline.json < "$$tmp"
 
 # Non-gating perf smoke: the perf-tracked benchmarks must still run and
@@ -154,6 +154,13 @@ fuzz-smoke:
 	grep -q '\[detector\]' "$$tmp" || { echo "fuzz-smoke: no detector finding in fixed-seed campaign" >&2; cat "$$tmp" >&2; exit 1; } && \
 	echo "fuzz-smoke: campaign clean, detector finding reproduced"
 
+# Threshold-sweep fuzz smoke: ten seconds of coverage-guided fuzzing of
+# the memoized sweep against the per-point reference sweep, from the
+# seed corpus of TestSweepMatchesReference. Every CurvePoint must match
+# bit for bit (DESIGN.md §10, "Threshold sweep").
+sweep-fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz=FuzzSweepMatchesReference -fuzztime=10s ./internal/harness
+
 # The protocol seam's dedicated gate: both coherence backends (the
 # conformance suite included) and the machine layer that selects
 # between them, under the race detector.
@@ -177,4 +184,4 @@ chaos-smoke:
 	$(GO) build -o "$$tmp/dsmphased" ./cmd/dsmphased && \
 	"$$tmp/dsmphased" -chaos 4 -chaos-seed 1 -data "$$tmp/data" -experiments "$$tmp/experiments" > "$$tmp/chaos.json"
 
-ci: build fmt-check vet test coherence-race resilience-race bench bench-check golden tuning-smoke shard-smoke workload-smoke fuzz-smoke service-smoke chaos-smoke
+ci: build fmt-check vet test coherence-race resilience-race bench bench-check golden tuning-smoke shard-smoke workload-smoke fuzz-smoke sweep-fuzz-smoke service-smoke chaos-smoke

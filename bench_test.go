@@ -10,6 +10,7 @@ package dsmphase
 //	BenchmarkTableII_*   — workload instruction-stream generation
 //	BenchmarkFigure2_*   — baseline BBV CoV curves at 2/8/32 nodes
 //	BenchmarkFigure4_*   — BBV vs BBV+DDV at 8/32 nodes
+//	BenchmarkSweep       — the offline threshold sweep alone
 //	BenchmarkOverhead_*  — the §III-B DDS bandwidth model
 //	BenchmarkAblation_*  — design-choice ablations
 //	Benchmark<hot path>  — detector and substrate micro-benchmarks
@@ -194,6 +195,29 @@ func BenchmarkFigure4(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// ---- The threshold sweep ----
+
+// BenchmarkSweep times the offline threshold sweep alone at the
+// sweep-dense shape (lu, 32P, size test, 625-instruction intervals):
+// the paper's 200-point BBV sweep and the 50×12 BBV+DDV grid over one
+// recorded run. make bench-json tracks it in BENCH_baseline.json.
+func BenchmarkSweep(b *testing.B) {
+	rc := benchRC("lu", 32)
+	rc.IntervalInstructions = 20_000 / 32
+	m, _ := simulateOnce(b, rc)
+	recs := m.RecordsByProc()
+	maxD := 1 + float64(m.Network().Diameter())
+	for _, kind := range []core.DetectorKind{core.DetectorBBV, core.DetectorBBVDDV} {
+		b.Run(kind.String(), func(b *testing.B) {
+			sc := harness.DefaultSweep(kind, maxD)
+			b.ReportAllocs()
+			for b.Loop() {
+				harness.Sweep(recs, sc)
+			}
+		})
 	}
 }
 

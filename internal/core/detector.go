@@ -128,28 +128,15 @@ func (d *Detector) EndInterval(dds float64) (phaseID int, matched bool) {
 // ClassifyRecorded replays footprint-table dynamics over a recorded
 // per-processor signature sequence at the given thresholds, returning the
 // phase ID assigned to each interval. This is the offline equivalent of
-// running the online detector with those thresholds and is what makes the
-// paper's 200-point threshold sweep cheap: the simulation runs once, the
-// sweep replays classification only.
+// running the online detector with those thresholds: the simulation runs
+// once, and the paper's 200-point threshold sweep replays classification
+// only (harness.Sweep drives a Replayer directly, so that each distinct
+// outcome is replayed once rather than once per threshold point).
+// DetectorWSS classifies on the working-set signature with thBBV as the
+// relative-distance threshold.
 func ClassifyRecorded(kind DetectorKind, tableSize int, thBBV, thDDS float64, sigs []IntervalSignature) []int {
-	var table *FootprintTable
-	switch kind {
-	case DetectorBBV:
-		table = NewFootprintTable(tableSize, thBBV)
-	case DetectorBBVDDV:
-		table = NewFootprintTableDDS(tableSize, thBBV, thDDS)
-	case DetectorDDS:
-		table = NewFootprintTableDDS(tableSize, 2.0, thDDS)
-	case DetectorWSS:
-		// The WSS baseline classifies on the working-set signature with
-		// thBBV interpreted as the relative-distance threshold.
-		return ClassifyRecordedWSS(tableSize, thBBV, sigs)
-	default:
-		panic("core: unknown detector kind")
-	}
-	out := make([]int, len(sigs))
-	for i, s := range sigs {
-		out[i], _ = table.Classify(s.BBV, s.DDS)
-	}
-	return out
+	r := NewReplayer(kind, tableSize)
+	r.Load(sigs, false)
+	ids, _ := r.Replay(thBBV, thDDS)
+	return ids
 }

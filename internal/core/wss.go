@@ -127,14 +127,3 @@ func (t *WSSTable) Classify(sig *WSSignature) (phaseID int, matched bool) {
 	t.nextPhase++
 	return e.phaseID, false
 }
-
-// ClassifyRecordedWSS replays WSS-table dynamics over recorded interval
-// signatures at the given threshold.
-func ClassifyRecordedWSS(tableSize int, threshold float64, sigs []IntervalSignature) []int {
-	table := NewWSSTable(tableSize, threshold)
-	out := make([]int, len(sigs))
-	for i := range sigs {
-		out[i], _ = table.Classify(&sigs[i].WSS)
-	}
-	return out
-}

@@ -171,10 +171,10 @@ func TestClassifyRecordedWSSDispatch(t *testing.T) {
 		t.Error("disjoint working set must be a new phase")
 	}
 	// Identical BBVs must NOT make WSS merge them — it only sees the WSS.
-	direct := ClassifyRecordedWSS(4, 0.2, sigs)
+	table := NewWSSTable(4, 0.2)
 	for i := range ids {
-		if ids[i] != direct[i] {
-			t.Errorf("dispatch mismatch at %d: %d vs %d", i, ids[i], direct[i])
+		if direct, _ := table.Classify(&sigs[i].WSS); ids[i] != direct {
+			t.Errorf("dispatch mismatch at %d: %d vs %d", i, ids[i], direct)
 		}
 	}
 }

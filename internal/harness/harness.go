@@ -148,46 +148,75 @@ func DefaultSweep(kind core.DetectorKind, maxDistance float64) SweepConfig {
 // (the paper's "system-wide CoV curve"). The returned cloud contains one
 // point per threshold setting; reduce it with stats.LowerEnvelope for
 // the presentation curve.
+//
+// Each processor's sequence is replayed once per distinct outcome, not
+// once per setting: a replay's slack box covers every setting that
+// would take the same side of every threshold comparison, and all of
+// them reuse its CoV (DESIGN.md §10, "Threshold sweep").
 func Sweep(recs [][]core.IntervalSignature, sc SweepConfig) []stats.CurvePoint {
 	if sc.TableSize <= 0 {
 		sc.TableSize = core.DefaultFootprintSize
 	}
-	dds := sc.DDSThresholds
+	bbv, dds := sc.BBVThresholds, sc.DDSThresholds
 	if sc.Kind == core.DetectorBBV || sc.Kind == core.DetectorWSS || len(dds) == 0 {
 		dds = []float64{0}
 	}
-	var out []stats.CurvePoint
-	cpis := make([][]float64, len(recs))
-	for p, rs := range recs {
-		cpis[p] = make([]float64, len(rs))
-		for i, r := range rs {
-			cpis[p][i] = r.CPI()
+	n := len(bbv) * len(dds)
+	sumCov := make([]float64, n)
+	sumPhases := make([]float64, n)
+	cov := make([]float64, n)
+	phases := make([]int, n)
+	done := make([]bool, n)
+	var cpis []float64
+	rp := core.NewReplayer(sc.Kind, sc.TableSize)
+	procs := 0
+	// Processor-major: each point still sums its processors in
+	// ascending order, as a point-major loop would.
+	for _, rs := range recs {
+		if len(rs) == 0 {
+			continue
 		}
-	}
-	for _, tb := range sc.BBVThresholds {
-		for _, td := range dds {
-			var sumCov, sumPhases float64
-			procs := 0
-			for p, rs := range recs {
-				if len(rs) == 0 {
-					continue
-				}
-				ids := core.ClassifyRecorded(sc.Kind, sc.TableSize, tb, td, rs)
-				cov, nPhases := stats.IdentifierCoV(ids, cpis[p])
-				sumCov += cov
-				sumPhases += float64(nPhases)
-				procs++
-			}
-			if procs == 0 {
+		procs++
+		cpis = cpis[:0]
+		for _, r := range rs {
+			cpis = append(cpis, r.CPI())
+		}
+		rp.Load(rs, true)
+		clear(done)
+		for pt := range n {
+			if done[pt] {
 				continue
 			}
-			out = append(out, stats.CurvePoint{
-				Phases:       sumPhases / float64(procs),
-				CoV:          sumCov / float64(procs),
-				Threshold:    tb,
-				ThresholdDDS: td,
-			})
+			ids, box := rp.Replay(bbv[pt/len(dds)], dds[pt%len(dds)])
+			c, np := stats.IdentifierCoV(ids, cpis)
+			cov[pt], phases[pt], done[pt] = c, np, true
+			for bi, tb := range bbv {
+				if !box.CoversBBV(tb) {
+					continue
+				}
+				for di, td := range dds {
+					if k := bi*len(dds) + di; !done[k] && box.CoversDDS(td) {
+						cov[k], phases[k], done[k] = c, np, true
+					}
+				}
+			}
 		}
+		for pt := range n {
+			sumCov[pt] += cov[pt]
+			sumPhases[pt] += float64(phases[pt])
+		}
+	}
+	if procs == 0 {
+		return nil
+	}
+	var out []stats.CurvePoint
+	for pt := range n {
+		out = append(out, stats.CurvePoint{
+			Phases:       sumPhases[pt] / float64(procs),
+			CoV:          sumCov[pt] / float64(procs),
+			Threshold:    bbv[pt/len(dds)],
+			ThresholdDDS: dds[pt%len(dds)],
+		})
 	}
 	return out
 }
