@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt fmt-check bench bench-json bench-smoke bench-check golden golden-update tuning-smoke shard-smoke service-smoke workload-smoke workload-smoke-update fuzz-smoke sweep-fuzz-smoke coherence-race resilience-race chaos-smoke ci
+.PHONY: build test vet fmt fmt-check fma-check reader-fuzz-smoke bench bench-json bench-smoke bench-check golden golden-update tuning-smoke shard-smoke service-smoke workload-smoke workload-smoke-update fuzz-smoke sweep-fuzz-smoke coherence-race resilience-race chaos-smoke ci
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,32 @@ fmt-check:
 		echo "$$unformatted" >&2; \
 		exit 1; \
 	fi
+
+# Cross-architecture determinism gate (DESIGN.md §9). Go may fuse x*y+z
+# into one fused multiply-add on arm64, ppc64le and s390x (never on
+# amd64), which skips the product's rounding and moves result bits. An
+# explicit float64(...) conversion forbids the fusion. Cross-compile
+# the module for those targets with the compiler's assembly listing and
+# fail on any fused mnemonic outside internal/plot, which only renders
+# display output. No emulator is needed. The plot sites double as a
+# canary: if none shows up, the listing format changed and the gate
+# would be blind.
+FMA_ARCHES = arm64 ppc64le s390x
+FMA_OP = ^[[:space:]]+0x[0-9a-f]+ [0-9]+ \([^)]*\.go:[0-9]+\)[[:space:]]+F(N)?M(ADD|SUB)[SD]?[[:space:]]
+
+fma-check:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && fail=0; \
+	for arch in $(FMA_ARCHES); do \
+		GOARCH=$$arch $(GO) build -gcflags=-S ./... > "$$tmp" 2>&1 || { cat "$$tmp" >&2; exit 1; }; \
+		if ! grep -Eq '$(FMA_OP)' "$$tmp"; then \
+			echo "fma-check: $$arch listing shows no fused op at all, not even the allow-listed internal/plot ones" >&2; exit 1; \
+		fi; \
+		hits=$$(grep -E '$(FMA_OP)' "$$tmp" | grep -v '/internal/plot/' || true); \
+		if [ -n "$$hits" ]; then \
+			echo "fma-check: fused multiply-add on $$arch:" >&2; echo "$$hits" >&2; fail=1; \
+		fi; \
+	done; \
+	[ $$fail -eq 0 ] && echo "fma-check: no fused multiply-add outside internal/plot on $(FMA_ARCHES)"
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
@@ -87,8 +113,9 @@ service-smoke:
 # The byte-identity gates: every Report and TuningReport encoder
 # against its golden file (the TestGolden pattern covers both
 # families, plus the shard artifact), the replicates=1 Spec output
-# against the legacy figure tables, shard-set merges against the
-# unsharded run (all encoders, tuning included), and the
+# against a hand-rolled simulate-then-sweep figure loop, shard-set
+# merges against the unsharded run (all encoders, tuning included),
+# and the
 # cmd/experiments report — including the -tuning scorecard and the
 # shard+merge path — across worker counts, all under -race.
 golden:
@@ -161,6 +188,16 @@ fuzz-smoke:
 sweep-fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzSweepMatchesReference -fuzztime=10s ./internal/harness
 
+# Untrusted-reader fuzz smoke: ten seconds each of coverage-guided
+# fuzzing of the shard-artifact reader (through merge, assembly and
+# every encoder) and the cell-stream reader (torn tails, repeated or
+# changed headers, cells before their header). Neither may panic.
+# Minimization is capped so the budget goes to exploring, not to
+# shrinking each new input.
+reader-fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz='^FuzzReadShardArtifact$$' -fuzztime=10s -fuzzminimizetime=200x ./internal/harness
+	$(GO) test -run '^$$' -fuzz='^FuzzReadCellStream$$' -fuzztime=10s -fuzzminimizetime=200x ./internal/harness
+
 # The protocol seam's dedicated gate: both coherence backends (the
 # conformance suite included) and the machine layer that selects
 # between them, under the race detector.
@@ -184,4 +221,4 @@ chaos-smoke:
 	$(GO) build -o "$$tmp/dsmphased" ./cmd/dsmphased && \
 	"$$tmp/dsmphased" -chaos 4 -chaos-seed 1 -data "$$tmp/data" -experiments "$$tmp/experiments" > "$$tmp/chaos.json"
 
-ci: build fmt-check vet test coherence-race resilience-race bench bench-check golden tuning-smoke shard-smoke workload-smoke fuzz-smoke sweep-fuzz-smoke service-smoke chaos-smoke
+ci: build fmt-check vet fma-check test coherence-race resilience-race bench bench-check golden tuning-smoke shard-smoke workload-smoke fuzz-smoke sweep-fuzz-smoke reader-fuzz-smoke service-smoke chaos-smoke

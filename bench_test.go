@@ -231,18 +231,19 @@ func BenchmarkSweep(b *testing.B) {
 func BenchmarkFigureEngine(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			fc := harness.FigureConfig{
-				Size:     workloads.SizeTest,
-				Interval: 40_000,
-				Seed:     1,
-				Parallel: workers,
-			}
+			spec := harness.NewSpec(
+				harness.WithProcs(8),
+				harness.WithDetectors(core.DetectorBBV, core.DetectorBBVDDV),
+				harness.WithSize(workloads.SizeTest),
+				harness.WithInterval(40_000),
+				harness.WithSeed(1),
+			)
 			for i := 0; i < b.N; i++ {
-				res, err := harness.Figure4(fc, []int{8})
-				if err != nil {
+				rep := spec.Run(harness.Options{Parallel: workers})
+				if err := rep.FirstError(); err != nil {
 					b.Fatal(err)
 				}
-				if len(res) != 8 {
+				if res := rep.Curves(); len(res) != 8 {
 					b.Fatalf("got %d curves, want 8", len(res))
 				}
 			}

@@ -74,8 +74,8 @@ func main() {
 	}
 	var spec *dsmphase.Spec
 	var title string
-	// strict mode (the figures) aborts on any cell error, matching the
-	// legacy Figure2/Figure4 helpers; custom mode isolates failures.
+	// strict mode (the figures) aborts on any cell error, so a figure is
+	// complete or absent; custom mode isolates failures.
 	strict := false
 	switch *figure {
 	case 2:

@@ -61,7 +61,7 @@ func run(args []string) error {
 		addrFile   = fs.String("addr-file", "", "write the bound address to this file once listening (for scripts using port 0)")
 		dataDir    = fs.String("data", "dsmphased-data", "state directory: result cache, job work dirs, ETA priors")
 		expBin     = fs.String("experiments", "", "path of the experiments worker binary (default: next to this binary, else $PATH)")
-		workers    = fs.String("workers", "local,local", `comma-separated worker pool: "local" or "ssh://[user@]host[/bin]"`)
+		workers    = fs.String("workers", "local,local", `comma-separated worker pool, one "local" entry per worker process`)
 		shards     = fs.Int("shards", 0, "default shard fan-out per job (0 = pool size)")
 		parallel   = fs.Int("parallel", 0, "-parallel passed to each worker process (0 = worker default)")
 		straggler  = fs.Duration("straggler-after", 10*time.Minute, "re-dispatch a shard attempt running longer than this to an idle worker")

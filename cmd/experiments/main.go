@@ -43,7 +43,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -123,7 +122,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		submitURL  = fs.String("submit", "", "submit the selected grids to a dsmphased coordinator at this URL and render the served report")
 		allowPart  = fs.Bool("allow-partial", false, "with -submit: accept a degraded report (failed cells carry errors) instead of failing the job")
 		etaFrom    = fs.String("eta-from", "", "seed the -progress ETA from a prior run's shard artifact timings")
-		abortOnce  = fs.String("shard-abort-once", "", "fault injection: exit(3) after one cell unless the given marker file exists ({shard} expands to the shard index); creates the marker, so a retry runs to completion")
 		cpuProf    = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf    = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
@@ -212,7 +210,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	start := time.Now()
 
 	if *shardArg != "" {
-		if err := runShard(grids, *shardArg, *shardOut, *shardDir, *shardTrace, *abortOnce, stdout, stderr, makeOpts); err != nil {
+		if err := runShard(grids, *shardArg, *shardOut, *shardDir, *shardTrace, stdout, stderr, makeOpts); err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "total runtime: %v (parallel=%d)\n",
@@ -327,7 +325,7 @@ func applyPreset(fs *flag.FlagSet, name string, paper func()) error {
 // results reused verbatim, so the resumed artifact matches an
 // uninterrupted run. -shard-dir derives the canonical output path
 // inside a work directory (the dsmphased worker handshake).
-func runShard(grids []dsmphase.NamedGrid, shardArg, out, dir string, withTrace bool, abortOnce string, stdout, stderr io.Writer, makeOpts func() dsmphase.EngineOptions) error {
+func runShard(grids []dsmphase.NamedGrid, shardArg, out, dir string, withTrace bool, stdout, stderr io.Writer, makeOpts func() dsmphase.EngineOptions) error {
 	shard, of, err := dsmphase.ParseShard(shardArg)
 	if err != nil {
 		return err
@@ -372,7 +370,6 @@ func runShard(grids []dsmphase.NamedGrid, shardArg, out, dir string, withTrace b
 			return err
 		}
 	}
-	abort := newAborter(abortOnce, shard, stderr)
 	art := &dsmphase.ShardArtifact{Format: dsmphase.ShardFormat, Shard: shard, Of: of}
 	resumed := 0
 	for _, g := range grids {
@@ -394,13 +391,6 @@ func runShard(grids []dsmphase.NamedGrid, shardArg, out, dir string, withTrace b
 			var pcells []dsmphase.ShardCell
 			if sg := prior[g.Name]; sg != nil {
 				pcells = sg.Cells
-			}
-			inner := opts.Progress
-			opts.Progress = func(done, total int, r dsmphase.CellResult) {
-				if inner != nil {
-					inner(done, total, r)
-				}
-				abort.cellDone() // after the cell's stream line is durable
 			}
 			var n int
 			if results, n, err = g.Spec.RunShardStreamed(g.Name, shard, of, opts, cs, pcells); err != nil {
@@ -481,36 +471,6 @@ func runSubmit(url string, grids []dsmphase.NamedGrid, req service.JobRequest, s
 		}
 	}
 	return reports, tuningRep, nil
-}
-
-// aborter is the -shard-abort-once fault injection: the first run to
-// claim the marker file exits the whole process (exit 3) right after
-// its first completed cell's stream line is durable; with the marker
-// already on disk, the run proceeds normally. Process-fatal by design
-// — only the service's worker-crash tests use it.
-type aborter struct {
-	armed  bool
-	stderr io.Writer
-}
-
-func newAborter(path string, shard int, stderr io.Writer) *aborter {
-	a := &aborter{stderr: stderr}
-	if path == "" {
-		return a
-	}
-	path = strings.ReplaceAll(path, "{shard}", strconv.Itoa(shard))
-	if f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644); err == nil {
-		f.Close()
-		a.armed = true
-	}
-	return a
-}
-
-func (a *aborter) cellDone() {
-	if a.armed {
-		fmt.Fprintln(a.stderr, "experiments: fault injection: aborting after one cell")
-		os.Exit(3)
-	}
 }
 
 // mergeGrids reads a complete shard-artifact set and reassembles every

@@ -28,11 +28,6 @@
 //	enc, _ := dsmphase.NewEncoder("text", "Figure 4")
 //	enc.Encode(os.Stdout, report) // or "csv", "json", "markdown"
 //
-// The legacy one-shot helpers (RunCurve, Figure2, Figure4) remain as
-// thin wrappers — their single-seed output is unchanged — but new code
-// should build a Spec: it is the only surface with replicates,
-// confidence bands, named ablation variants and pluggable encoders.
-//
 // See DESIGN.md for the system inventory; cmd/experiments regenerates
 // the paper-versus-measured scorecard.
 package dsmphase
@@ -157,13 +152,6 @@ func DefaultMachineConfig(procs int) MachineConfig { return machine.DefaultConfi
 // (the Table I default) and an IVY-style page-granular DSM backend.
 // Select a backend per simulation via RunConfig.Protocol or
 // MachineConfig.Protocol, or sweep the axis with WithProtocols.
-//
-// Deprecated surface: the old positional constructor
-// coherence.New(n, l1, l2, mem, net, costs, home) survives as a
-// wrapper over the directory backend; new code should fill a
-// coherence.Params and call coherence.NewDirectory or
-// coherence.NewIVY (internal packages — from the facade, use the
-// ProtocolKind axis instead of constructing engines directly).
 
 // ProtocolKind selects a coherence backend; the zero value is the
 // directory engine, so existing configurations are unchanged.
@@ -191,9 +179,6 @@ type SweepConfig = harness.SweepConfig
 // CurveResult is one labelled CoV curve.
 type CurveResult = harness.CurveResult
 
-// FigureConfig scales a figure reproduction.
-type FigureConfig = harness.FigureConfig
-
 // ---- Sharded experiment engine ----
 
 // Cell is one independent experiment point of a Plan.
@@ -213,11 +198,6 @@ type Runner = harness.Runner
 
 // NewPlan returns an empty experiment plan.
 func NewPlan() *Plan { return harness.NewPlan() }
-
-// FigurePlan enumerates a figure's cells without running them.
-func FigurePlan(fc FigureConfig, procs []int, kinds []DetectorKind) *Plan {
-	return harness.FigurePlan(fc, procs, kinds)
-}
 
 // NewRunner returns a plan runner with the given options.
 func NewRunner(opts EngineOptions) *Runner { return harness.NewRunner(opts) }
@@ -348,19 +328,8 @@ func AppsPanel(name string) ([]string, bool) { return harness.AppsPanel(name) }
 // ResolveApps expands a panel alias; empty resolves to the paper panel.
 func ResolveApps(apps []string) []string { return harness.ResolveApps(apps) }
 
-// Figure2Spec builds the declarative form of Figure 2.
-func Figure2Spec(fc FigureConfig, procs []int) *Spec { return harness.Figure2Spec(fc, procs) }
-
-// Figure4Spec builds the declarative form of Figure 4.
-func Figure4Spec(fc FigureConfig, procs []int) *Spec { return harness.Figure4Spec(fc, procs) }
-
 // Simulate runs one workload on the simulated machine.
 func Simulate(rc RunConfig) (*Machine, Summary, error) { return harness.Simulate(rc) }
-
-// RunCurve simulates one configuration and sweeps one detector over it.
-func RunCurve(rc RunConfig, kind DetectorKind) (CurveResult, error) {
-	return harness.RunCurve(rc, kind)
-}
 
 // SweepMachine sweeps a detector over an already-simulated machine, so
 // several detectors can be compared on the identical execution.
@@ -371,26 +340,6 @@ func SweepMachine(m *Machine, rc RunConfig, kind DetectorKind, sum Summary) Curv
 // Sweep classifies recorded signatures across threshold settings.
 func Sweep(recs [][]IntervalSignature, sc SweepConfig) []CurvePoint {
 	return harness.Sweep(recs, sc)
-}
-
-// Figure2 regenerates the baseline BBV degradation curves (paper Fig. 2).
-//
-// Deprecated: Figure2 wraps the Spec/Report API with a single seed and
-// the text table only; its output is unchanged. New code should run
-// Figure2Spec(fc, procs) (plus WithReplicates via NewSpec) to get
-// confidence bands and the other encoders.
-func Figure2(fc FigureConfig, procs []int) ([]CurveResult, error) {
-	return harness.Figure2(fc, procs)
-}
-
-// Figure4 regenerates the BBV versus BBV+DDV curves (paper Fig. 4).
-//
-// Deprecated: Figure4 wraps the Spec/Report API with a single seed and
-// the text table only; its output is unchanged. New code should run
-// Figure4Spec(fc, procs) to get confidence bands and the other
-// encoders.
-func Figure4(fc FigureConfig, procs []int) ([]CurveResult, error) {
-	return harness.Figure4(fc, procs)
 }
 
 // WriteFigure prints a figure's curves in tabular form.

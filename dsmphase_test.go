@@ -21,15 +21,24 @@ func quickRC(procs int) dsmphase.RunConfig {
 	}
 }
 
+// runCurve simulates one configuration and sweeps one detector over it.
+func runCurve(t *testing.T, rc dsmphase.RunConfig, kind dsmphase.DetectorKind) dsmphase.CurveResult {
+	t.Helper()
+	m, sum, err := dsmphase.Simulate(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dsmphase.SweepMachine(m, rc, kind, sum)
+}
+
 func TestPublicQuickstartFlow(t *testing.T) {
-	bbv, err := dsmphase.RunCurve(quickRC(4), dsmphase.DetectorBBV)
+	rc := quickRC(4)
+	m, sum, err := dsmphase.Simulate(rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ddv, err := dsmphase.RunCurve(quickRC(4), dsmphase.DetectorBBVDDV)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bbv := dsmphase.SweepMachine(m, rc, dsmphase.DetectorBBV, sum)
+	ddv := dsmphase.SweepMachine(m, rc, dsmphase.DetectorBBVDDV, sum)
 	var buf bytes.Buffer
 	if err := dsmphase.WriteFigure(&buf, "quickstart", []dsmphase.CurveResult{bbv, ddv}); err != nil {
 		t.Fatal(err)

@@ -73,19 +73,32 @@ func TestFacadeSweep(t *testing.T) {
 }
 
 func TestFacadeFigures(t *testing.T) {
-	fc := dsmphase.FigureConfig{
+	gp := dsmphase.GridParams{
 		Apps:     []string{"lu"},
 		Size:     dsmphase.SizeTest,
 		Interval: 20_000,
 		Seed:     1,
 	}
-	fig2, err := dsmphase.Figure2(fc, []int{2})
-	if err != nil || len(fig2) != 1 {
-		t.Fatalf("Figure2 = (%d curves, %v)", len(fig2), err)
+	for name, want := range map[string]int{"figure2": 3, "figure4": 4} {
+		g, err := dsmphase.BuildGrid(name, gp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(g.Spec.Configurations()); n != want {
+			t.Errorf("%s grid has %d configurations, want %d", name, n, want)
+		}
 	}
-	fig4, err := dsmphase.Figure4(fc, []int{2})
-	if err != nil || len(fig4) != 2 {
-		t.Fatalf("Figure4 = (%d curves, %v)", len(fig4), err)
+	rep := dsmphase.NewSpec(
+		dsmphase.WithApps("lu"),
+		dsmphase.WithProcs(2),
+		dsmphase.WithDetectors(dsmphase.DetectorBBV, dsmphase.DetectorBBVDDV),
+		dsmphase.WithSize(dsmphase.SizeTest),
+		dsmphase.WithInterval(20_000),
+		dsmphase.WithSeed(1),
+	).Run(dsmphase.EngineOptions{})
+	fig4 := rep.Curves()
+	if err := rep.FirstError(); err != nil || len(fig4) != 2 {
+		t.Fatalf("figure 4 at 2P = (%d curves, %v)", len(fig4), err)
 	}
 	var buf bytes.Buffer
 	if err := dsmphase.WriteFigure(&buf, "t", fig4); err != nil {
@@ -202,21 +215,15 @@ func TestFacadeTuningCostModel(t *testing.T) {
 	if len(costs) != dsmphase.TuningHardwareConfigs {
 		t.Fatalf("%d cost rows, want %d", len(costs), dsmphase.TuningHardwareConfigs)
 	}
-	c, err := dsmphase.RunCurve(quickRC(2), dsmphase.DetectorBBV)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := runCurve(t, quickRC(2), dsmphase.DetectorBBV)
 	thBBV, _ := dsmphase.OperatingPoint(c.Curve, dsmphase.DefaultPhaseBudget)
 	if thBBV <= 0 {
 		t.Errorf("operating threshold = %v", thBBV)
 	}
 }
 
-func TestFacadeRunCurveWSS(t *testing.T) {
-	c, err := dsmphase.RunCurve(quickRC(2), dsmphase.DetectorWSS)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestFacadeSweepMachineWSS(t *testing.T) {
+	c := runCurve(t, quickRC(2), dsmphase.DetectorWSS)
 	if len(c.Curve.Points) == 0 {
 		t.Error("empty WSS curve")
 	}

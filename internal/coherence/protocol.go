@@ -147,8 +147,7 @@ func Kinds() []Kind { return []Kind{KindDirectory, KindIVY} }
 // DefaultPageBytes is the IVY page size when Params.PageBytes is zero.
 const DefaultPageBytes = 4096
 
-// Params assembles a coherence backend. It replaces the former
-// positional New(n, l1cfg, l2cfg, memCfg, net, costs, home) signature.
+// Params assembles a coherence backend.
 type Params struct {
 	// N is the processor (node) count, at most 64.
 	N int
@@ -168,18 +167,6 @@ type Params struct {
 	// PageBytes is IVY's page size (a power of two); zero selects
 	// DefaultPageBytes. The directory backend ignores it.
 	PageBytes int
-}
-
-// New assembles a directory-MSI engine from positional arguments.
-//
-// Deprecated: use NewDirectory with a Params struct; this wrapper only
-// keeps pre-seam callers compiling and will be removed with the next
-// incompatible release.
-func New(n int, l1cfg, l2cfg cache.Config, memCfg memory.Config,
-	net network.Topology, costs Costs, home HomeMap) *DirectoryProtocol {
-	return NewDirectory(Params{
-		N: n, L1: l1cfg, L2: l2cfg, Mem: memCfg, Net: net, Costs: costs, Home: home,
-	})
 }
 
 // validate checks the parameters shared by every backend.

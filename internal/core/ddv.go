@@ -149,7 +149,8 @@ func ComputeDDS(i int, freq []uint64, contention []uint64, dist *DistanceMatrix,
 		if opt.IgnoreContention {
 			c = 1
 		}
-		raw += float64(freq[j]) * dist.At(i, j) * c
+		// float64() rounds the product, so no architecture fuses it (DESIGN.md §9).
+		raw += float64(float64(freq[j]) * dist.At(i, j) * c)
 	}
 	if fTot == 0 {
 		return raw, 0
@@ -159,7 +160,7 @@ func ComputeDDS(i int, freq []uint64, contention []uint64, dist *DistanceMatrix,
 		if !opt.IgnoreContention && cTot > 0 {
 			cw = float64(contention[j]) / cTot
 		}
-		normalized += (float64(freq[j]) / fTot) * dist.At(i, j) * cw
+		normalized += float64((float64(freq[j]) / fTot) * dist.At(i, j) * cw)
 	}
 	return raw, normalized
 }

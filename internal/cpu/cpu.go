@@ -184,9 +184,10 @@ func (m *Model) Cost(in isa.Inst, memStall float64) float64 {
 			c += m.cfg.MispredictPenalty
 		}
 	case isa.OpLoad:
-		c += memStall * m.cfg.LoadStallFactor
+		// float64() rounds each product, so no architecture fuses it (DESIGN.md §9).
+		c += float64(memStall * m.cfg.LoadStallFactor)
 	case isa.OpStore:
-		c += memStall * m.cfg.StoreStallFactor
+		c += float64(memStall * m.cfg.StoreStallFactor)
 	}
 	return c
 }

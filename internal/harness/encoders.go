@@ -15,9 +15,8 @@ import (
 // Report encoders. Encoders are pure functions of the Report's
 // deterministic fields (never the wall-clock timings), so every format
 // is byte-identical across runs, worker counts and machines. The text
-// encoder at one replicate reproduces the legacy WriteFigure tables
-// exactly; the others are the grid-shaped formats the legacy one-shot
-// helpers could not offer.
+// encoder at one replicate renders the WriteFigure tables; the others
+// are grid-shaped formats with bands and per-configuration rows.
 
 // Encoder renders an executed Report in one output format.
 type Encoder interface {
@@ -52,9 +51,9 @@ func EncoderNames() []string {
 }
 
 // TextEncoder renders the classic figure tables. At one replicate the
-// output is byte-identical to the legacy WriteFigure path: one
-// "phases cov thBBV thDDS" block per curve. At several replicates each
-// configuration becomes a band table with mean and 95% CI columns.
+// output is WriteFigure's: one "phases cov thBBV thDDS" block per
+// curve. At several replicates each configuration becomes a band table
+// with mean and 95% CI columns.
 type TextEncoder struct {
 	// Title is the figure heading ("Figure 2: ...").
 	Title string
@@ -65,16 +64,11 @@ func (TextEncoder) Name() string { return "text" }
 
 // Encode implements Encoder.
 func (e TextEncoder) Encode(w io.Writer, r *Report) error {
+	if r.Replicates <= 1 {
+		return WriteFigure(w, e.Title, r.Curves())
+	}
 	if _, err := fmt.Fprintf(w, "== %s ==\n\n", e.Title); err != nil {
 		return err
-	}
-	if r.Replicates <= 1 {
-		for _, c := range r.Curves() {
-			if err := WriteCurve(w, c); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	for _, c := range r.Configs {
 		if len(c.Band.Points) == 0 {

@@ -119,25 +119,6 @@ func (p *Plan) Simulations() int {
 	return len(seen)
 }
 
-// FigurePlan enumerates a figure's cells: every (app, procs) pair of fc
-// simulated once and swept by every requested detector — the engine
-// form of the serial runFigure loop, in the same app-major order.
-func FigurePlan(fc FigureConfig, procsList []int, kinds []core.DetectorKind) *Plan {
-	p := NewPlan()
-	for _, app := range fc.apps() {
-		for _, procs := range procsList {
-			p.Add(RunConfig{
-				Workload:             app,
-				Size:                 fc.Size,
-				Procs:                procs,
-				IntervalInstructions: fc.interval(procs),
-				Seed:                 fc.Seed,
-			}, kinds...)
-		}
-	}
-	return p
-}
-
 // DeriveSeed deterministically mixes a base seed with a cell's identity
 // and a replicate index. Multi-seed sweeps (confidence bands) must not
 // seed replicates sequentially — nearby splitmix states correlate — nor

@@ -10,16 +10,6 @@ import (
 	"dsmphase/internal/workloads"
 )
 
-// engineFC is a small figure configuration for engine tests.
-func engineFC() FigureConfig {
-	return FigureConfig{
-		Apps:     []string{"lu", "fmm"},
-		Size:     workloads.SizeTest,
-		Interval: 40_000,
-		Seed:     1,
-	}
-}
-
 // stripWall zeroes the per-cell wall-clock timings, the one CellResult
 // field that legitimately differs between identical runs.
 func stripWall(rs []CellResult) []CellResult {
@@ -46,7 +36,7 @@ func TestRunnerMatchesSerial(t *testing.T) {
 		{"figure4", []int{4}, []core.DetectorKind{core.DetectorBBV, core.DetectorBBVDDV}},
 	} {
 		t.Run(fig.name, func(t *testing.T) {
-			plan := FigurePlan(engineFC(), fig.procs, fig.kinds)
+			plan := figureSpec(40_000, []string{"lu", "fmm"}, fig.procs, fig.kinds...).Plan()
 			serial := stripWall(RunPlan(plan, Options{Parallel: 1}))
 			for _, workers := range []int{2, 3, 8} {
 				parallel := stripWall(RunPlan(plan, Options{Parallel: workers}))
@@ -58,36 +48,20 @@ func TestRunnerMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestFigureMatchesLegacySerialPath pins the rewired Figure4 facade to
-// the pre-engine behavior: simulate each pair once, sweep each kind.
+// TestFigureMatchesLegacySerialPath pins the engine-backed Spec to the
+// pre-engine behavior: simulate each pair once, sweep each kind.
 func TestFigureMatchesLegacySerialPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure runs in -short mode")
 	}
-	fc := engineFC()
-	fc.Apps = []string{"lu"}
-	fc.Parallel = 4
-	got, err := Figure4(fc, []int{4})
-	if err != nil {
+	kinds := []core.DetectorKind{core.DetectorBBV, core.DetectorBBVDDV}
+	rep := figureSpec(40_000, []string{"lu"}, []int{4}, kinds...).Run(Options{Parallel: 4})
+	if err := rep.FirstError(); err != nil {
 		t.Fatal(err)
 	}
-	rc := RunConfig{
-		Workload:             "lu",
-		Size:                 fc.Size,
-		Procs:                4,
-		IntervalInstructions: fc.Interval / 4,
-		Seed:                 fc.Seed,
-	}
-	m, sum, err := Simulate(rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []CurveResult{
-		SweepMachine(m, rc, core.DetectorBBV, sum),
-		SweepMachine(m, rc, core.DetectorBBVDDV, sum),
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("engine-backed Figure4 differs from the hand-rolled serial path")
+	want := serialCurves(t, []string{"lu"}, []int{4}, kinds, 40_000)
+	if !reflect.DeepEqual(rep.Curves(), want) {
+		t.Error("engine-backed Spec differs from the hand-rolled serial path")
 	}
 }
 

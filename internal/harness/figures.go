@@ -3,114 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
-
-	"dsmphase/internal/core"
-	"dsmphase/internal/workloads"
 )
-
-// FigureConfig scales a figure reproduction. The paper's full runs use
-// Size=full and Interval=3M/Procs; the defaults here use the reduced
-// sizes so the whole figure regenerates in minutes on a laptop, exactly
-// as the paper itself shrank 100M-instruction intervals to 3M for its
-// reduced inputs.
-type FigureConfig struct {
-	// Apps lists the Table II applications to include (empty = all four).
-	Apps []string
-	// Size is the workload input scale.
-	Size workloads.Size
-	// Interval is the total system sampling interval; each processor
-	// samples Interval/Procs instructions (the paper's 3M/n rule).
-	// 0 derives 300k total for the reduced inputs.
-	Interval uint64
-	// Seed drives the workloads.
-	Seed uint64
-	// Parallel bounds the engine's worker pool; <= 0 uses
-	// runtime.GOMAXPROCS(0). Output is identical for every value.
-	Parallel int
-	// Progress, if non-nil, receives one callback per completed cell.
-	Progress func(done, total int, r CellResult)
-}
-
-// Figure2 reproduces the baseline experiment: BBV-only CoV curves for
-// each application at 2, 8 and 32 processors (paper Fig. 2). The paper's
-// qualitative claim: curves degrade (shift up) as the node count grows.
-//
-// Deprecated: Figure2 is a thin wrapper over the Spec/Report API; build
-// a Spec with Figure2Spec (or NewSpec directly) to get replicates,
-// confidence bands and the non-text encoders. The wrapper's output is
-// unchanged: single seed, curves in figure order.
-func Figure2(fc FigureConfig, procsList []int) ([]CurveResult, error) {
-	return runFigure(Figure2Spec(fc, procsList), fc)
-}
-
-// Figure4 reproduces the contribution experiment: BBV vs BBV+DDV CoV
-// curves at 8 and 32 processors (paper Fig. 4). The paper's qualitative
-// claim: BBV+DDV lies below BBV everywhere, and the gap widens at 32P.
-//
-// Deprecated: Figure4 is a thin wrapper over the Spec/Report API; build
-// a Spec with Figure4Spec (or NewSpec directly) to get replicates,
-// confidence bands and the non-text encoders. The wrapper's output is
-// unchanged: single seed, curves in figure order.
-func Figure4(fc FigureConfig, procsList []int) ([]CurveResult, error) {
-	return runFigure(Figure4Spec(fc, procsList), fc)
-}
-
-// Figure2Spec builds the declarative form of Figure 2, ready for
-// further options (replicates, extra variants) via Spec.With.
-func Figure2Spec(fc FigureConfig, procsList []int) *Spec {
-	if len(procsList) == 0 {
-		procsList = []int{2, 8, 32}
-	}
-	return fc.spec(procsList, core.DetectorBBV)
-}
-
-// Figure4Spec builds the declarative form of Figure 4.
-func Figure4Spec(fc FigureConfig, procsList []int) *Spec {
-	if len(procsList) == 0 {
-		procsList = []int{8, 32}
-	}
-	return fc.spec(procsList, core.DetectorBBV, core.DetectorBBVDDV)
-}
-
-// spec translates the legacy figure configuration into a Spec.
-func (fc FigureConfig) spec(procsList []int, kinds ...core.DetectorKind) *Spec {
-	return NewSpec(
-		WithApps(fc.Apps...),
-		WithProcs(procsList...),
-		WithDetectors(kinds...),
-		WithSize(fc.Size),
-		WithInterval(fc.Interval),
-		WithSeed(fc.Seed),
-	)
-}
-
-func (fc FigureConfig) apps() []string {
-	return ResolveApps(fc.Apps)
-}
-
-func (fc FigureConfig) interval(procs int) uint64 {
-	if fc.Interval > 0 {
-		return fc.Interval / uint64(procs)
-	}
-	return 300_000 / uint64(procs)
-}
-
-// runFigure executes the figure's Spec on the sharded engine. The
-// record cache simulates each (app, procs) pair once and sweeps every
-// requested detector over the same recorded signatures, so BBV and
-// BBV+DDV are compared on identical executions, as in the paper. Any
-// cell error aborts the figure (commands wanting per-cell isolation
-// run a Spec themselves via Spec.Run).
-func runFigure(s *Spec, fc FigureConfig) ([]CurveResult, error) {
-	rep := s.Run(Options{
-		Parallel: fc.Parallel,
-		Progress: fc.Progress,
-	})
-	if err := rep.FirstError(); err != nil {
-		return nil, err
-	}
-	return rep.Curves(), nil
-}
 
 // WriteFigure prints every curve of a figure.
 func WriteFigure(w io.Writer, title string, results []CurveResult) error {

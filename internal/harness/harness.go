@@ -237,15 +237,6 @@ func (c CurveResult) Label() string {
 	return fmt.Sprintf("%s %dP %s", c.App, c.Procs, c.Detector)
 }
 
-// RunCurve simulates one configuration and sweeps one detector over it.
-func RunCurve(rc RunConfig, kind core.DetectorKind) (CurveResult, error) {
-	m, sum, err := Simulate(rc)
-	if err != nil {
-		return CurveResult{}, err
-	}
-	return SweepMachine(m, rc, kind, sum), nil
-}
-
 // SweepMachine sweeps a detector over an already-simulated machine.
 func SweepMachine(m *machine.Machine, rc RunConfig, kind core.DetectorKind, sum machine.Summary) CurveResult {
 	maxD := 1.0 + float64(m.Network().Diameter())

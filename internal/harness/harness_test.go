@@ -24,6 +24,56 @@ func quickRun(t *testing.T, app string, procs int) RunConfig {
 	}
 }
 
+// runCurve simulates one configuration and sweeps one detector over it.
+func runCurve(t testing.TB, rc RunConfig, kind core.DetectorKind) CurveResult {
+	t.Helper()
+	m, sum, err := Simulate(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return SweepMachine(m, rc, kind, sum)
+}
+
+// serialCurves is the hand-rolled serial reference for a figure grid:
+// for each (app, procs) pair, in the Spec's app-major order, simulate
+// once at the test size and seed 1, then sweep every kind over that
+// identical execution.
+func serialCurves(t testing.TB, apps []string, procs []int, kinds []core.DetectorKind, interval uint64) []CurveResult {
+	t.Helper()
+	var out []CurveResult
+	for _, app := range apps {
+		for _, n := range procs {
+			rc := RunConfig{
+				Workload:             app,
+				Size:                 workloads.SizeTest,
+				Procs:                n,
+				IntervalInstructions: interval / uint64(n),
+				Seed:                 1,
+			}
+			m, sum, err := Simulate(rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, kind := range kinds {
+				out = append(out, SweepMachine(m, rc, kind, sum))
+			}
+		}
+	}
+	return out
+}
+
+// figureSpec is the Spec form of serialCurves' grid.
+func figureSpec(interval uint64, apps []string, procs []int, kinds ...core.DetectorKind) *Spec {
+	return NewSpec(
+		WithApps(apps...),
+		WithProcs(procs...),
+		WithDetectors(kinds...),
+		WithSize(workloads.SizeTest),
+		WithInterval(interval),
+		WithSeed(1),
+	)
+}
+
 func TestSimulateUnknownWorkload(t *testing.T) {
 	if _, _, err := Simulate(RunConfig{Workload: "nope", Procs: 2}); err == nil {
 		t.Error("expected error for unknown workload")
@@ -116,11 +166,8 @@ func TestDefaultSweepShapes(t *testing.T) {
 	}
 }
 
-func TestRunCurveEndToEnd(t *testing.T) {
-	c, err := RunCurve(quickRun(t, "art", 2), core.DetectorBBV)
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestSimulateSweepEndToEnd(t *testing.T) {
+	c := runCurve(t, quickRun(t, "art", 2), core.DetectorBBV)
 	if len(c.Curve.Points) == 0 {
 		t.Fatal("empty curve")
 	}
@@ -154,10 +201,7 @@ func TestSweepDeterministic(t *testing.T) {
 }
 
 func TestWriteCurveAndFigure(t *testing.T) {
-	c, err := RunCurve(quickRun(t, "lu", 2), core.DetectorBBV)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := runCurve(t, quickRun(t, "lu", 2), core.DetectorBBV)
 	var buf bytes.Buffer
 	if err := WriteFigure(&buf, "Fig test", []CurveResult{c}); err != nil {
 		t.Fatal(err)
@@ -191,18 +235,27 @@ func TestFigure2SmallRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure run in -short mode")
 	}
-	fc := FigureConfig{
+	g, err := BuildGrid("figure2", GridParams{
 		Apps:     []string{"lu"},
 		Size:     workloads.SizeTest,
 		Interval: 40_000,
 		Seed:     1,
-	}
-	res, err := Figure2(fc, []int{2, 4})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 2 {
-		t.Fatalf("got %d curves, want 2", len(res))
+	rep := g.Spec.Run(Options{})
+	if err := rep.FirstError(); err != nil {
+		t.Fatal(err)
+	}
+	res := rep.Curves()
+	if len(res) != 3 {
+		t.Fatalf("got %d curves, want 3", len(res))
+	}
+	for i, procs := range []int{2, 8, 32} {
+		if res[i].Procs != procs {
+			t.Errorf("curve %d at %dP, want the paper's %dP", i, res[i].Procs, procs)
+		}
 	}
 	for _, c := range res {
 		if c.Detector != core.DetectorBBV {
@@ -218,16 +271,11 @@ func TestFigure4DDVNotWorse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure run in -short mode")
 	}
-	fc := FigureConfig{
-		Apps:     []string{"lu"},
-		Size:     workloads.SizeTest,
-		Interval: 40_000,
-		Seed:     1,
-	}
-	res, err := Figure4(fc, []int{4})
-	if err != nil {
+	rep := figureSpec(40_000, []string{"lu"}, []int{4}, core.DetectorBBV, core.DetectorBBVDDV).Run(Options{})
+	if err := rep.FirstError(); err != nil {
 		t.Fatal(err)
 	}
+	res := rep.Curves()
 	if len(res) != 2 {
 		t.Fatalf("got %d curves, want 2 (BBV and BBV+DDV)", len(res))
 	}

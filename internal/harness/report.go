@@ -105,7 +105,7 @@ func (r *Report) CellResults() []CellResult {
 }
 
 // Curves flattens every configuration's successful curves, in grid
-// order — at one replicate, exactly the legacy figure result list.
+// order — at one replicate, one curve per configuration.
 func (r *Report) Curves() []CurveResult {
 	var out []CurveResult
 	for _, c := range r.Configs {

@@ -153,9 +153,9 @@ func WithInterval(interval uint64) Option {
 }
 
 // WithSeed sets the base seed. Replicate 0 runs the base seed itself
-// (so a one-replicate Spec reproduces the legacy single-seed figures
-// byte for byte); further replicates derive order-free seeds with
-// DeriveSeed.
+// (so a one-replicate Spec reproduces a hand-rolled single-seed
+// simulate-and-sweep loop byte for byte); further replicates derive
+// order-free seeds with DeriveSeed.
 func WithSeed(seed uint64) Option {
 	return func(s *Spec) { s.seed = seed }
 }
@@ -266,10 +266,11 @@ func (s *Spec) Protocols() []coherence.Kind {
 
 // Configurations enumerates the grid's aggregated cells in report
 // order: variant-major, then application, processor count, protocol,
-// detector — the same order the legacy figures used (the protocol axis
-// is degenerate by default), so a one-replicate, baseline-only Spec
-// reproduces their output exactly. Protocol sits outside the detector
-// axis so detector sweeps still share each protocol's simulation.
+// detector — app-major, like a serial simulate-then-sweep loop (the
+// protocol axis is degenerate by default), so a one-replicate,
+// baseline-only Spec reproduces that loop's output exactly. Protocol
+// sits outside the detector axis so detector sweeps still share each
+// protocol's simulation.
 func (s *Spec) Configurations() []Configuration {
 	var out []Configuration
 	for _, v := range s.variants {
@@ -289,9 +290,9 @@ func (s *Spec) Configurations() []Configuration {
 }
 
 // replicateSeed returns the seed replicate r of a configuration runs.
-// Replicate 0 is the base seed (legacy identity); later replicates hash
-// their coordinates through DeriveSeed, so the seed assignment is
-// independent of enumeration order and worker count.
+// Replicate 0 is the base seed (single-seed identity); later
+// replicates hash their coordinates through DeriveSeed, so the seed
+// assignment is independent of enumeration order and worker count.
 func (s *Spec) replicateSeed(app string, procs, r int) uint64 {
 	if r == 0 {
 		return s.seed
@@ -326,7 +327,7 @@ func (s *Spec) Plan() *Plan {
 }
 
 // perProcInterval splits a total sampling interval across processors;
-// 0 derives the reduced-input 300k default (FigureConfig's rule).
+// 0 derives the reduced-input 300k default (see WithInterval).
 func perProcInterval(total uint64, procs int) uint64 {
 	if total > 0 {
 		return total / uint64(procs)

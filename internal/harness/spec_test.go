@@ -193,38 +193,35 @@ func TestSpecBandWidth(t *testing.T) {
 	}
 }
 
-// TestSpecLegacyByteIdentity pins the deprecation contract: a
-// one-replicate Spec rendered by the text encoder is byte-identical to
-// the legacy Figure2/Figure4 tables.
+// TestSpecLegacyByteIdentity pins the one-replicate contract: a Spec
+// rendered by the text encoder is byte-identical to the hand-rolled
+// serial figure path (simulate each pair once, sweep each kind, print
+// with WriteFigure).
 func TestSpecLegacyByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure runs")
 	}
-	fc := FigureConfig{Apps: []string{"lu"}, Size: workloads.SizeTest, Interval: 20_000, Seed: 1}
 	for _, tc := range []struct {
-		name   string
-		legacy func() ([]CurveResult, error)
-		spec   *Spec
+		name  string
+		procs []int
+		kinds []core.DetectorKind
 	}{
-		{"figure2", func() ([]CurveResult, error) { return Figure2(fc, []int{2, 4}) }, Figure2Spec(fc, []int{2, 4})},
-		{"figure4", func() ([]CurveResult, error) { return Figure4(fc, []int{4}) }, Figure4Spec(fc, []int{4})},
+		{"figure2", []int{2, 4}, []core.DetectorKind{core.DetectorBBV}},
+		{"figure4", []int{4}, []core.DetectorKind{core.DetectorBBV, core.DetectorBBVDDV}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			curves, err := tc.legacy()
-			if err != nil {
-				t.Fatal(err)
-			}
 			var want bytes.Buffer
+			curves := serialCurves(t, []string{"lu"}, tc.procs, tc.kinds, 20_000)
 			if err := WriteFigure(&want, tc.name, curves); err != nil {
 				t.Fatal(err)
 			}
 			var got bytes.Buffer
-			rep := tc.spec.Run(Options{Parallel: 4})
+			rep := figureSpec(20_000, []string{"lu"}, tc.procs, tc.kinds...).Run(Options{Parallel: 4})
 			if err := (TextEncoder{Title: tc.name}).Encode(&got, rep); err != nil {
 				t.Fatal(err)
 			}
 			if got.String() != want.String() {
-				t.Errorf("replicates=1 Spec text output differs from the legacy table:\n--- legacy ---\n%s\n--- spec ---\n%s",
+				t.Errorf("replicates=1 Spec text output differs from the serial figure table:\n--- serial ---\n%s\n--- spec ---\n%s",
 					want.String(), got.String())
 			}
 		})
@@ -368,10 +365,7 @@ func TestExtendedPanelCoVBehavior(t *testing.T) {
 				IntervalInstructions: 10_000,
 				Seed:                 1,
 			}
-			c, err := RunCurve(rc, core.DetectorBBV)
-			if err != nil {
-				t.Fatal(err)
-			}
+			c := runCurve(t, rc, core.DetectorBBV)
 			if len(c.Curve.Points) < 2 {
 				t.Fatalf("curve has %d points; need a real threshold trade-off", len(c.Curve.Points))
 			}

@@ -168,6 +168,11 @@ func ReadCellStream(path string) (map[string]*StreamedGrid, error) {
 		}
 		return nil, err
 	}
+	return parseCellStream(data), nil
+}
+
+// parseCellStream is ReadCellStream over the file's bytes.
+func parseCellStream(data []byte) map[string]*StreamedGrid {
 	grids := map[string]*StreamedGrid{}
 	poisoned := map[string]bool{}
 	for _, line := range bytes.Split(data, []byte("\n")) {
@@ -198,7 +203,7 @@ func ReadCellStream(path string) (map[string]*StreamedGrid, error) {
 	for name := range poisoned {
 		delete(grids, name)
 	}
-	return grids, nil
+	return grids
 }
 
 // RunShardStreamed is RunShard with durability: completed cells are

@@ -86,7 +86,8 @@ func TuningCosts(recs []core.IntervalSignature) [][]float64 {
 			if mismatch < 0 {
 				mismatch = -mismatch
 			}
-			costs[c][i] = r.CPI() * (1 + 0.4*mismatch)
+			// float64() rounds the product, so no architecture fuses it (DESIGN.md §9).
+			costs[c][i] = r.CPI() * (1 + float64(0.4*mismatch))
 		}
 	}
 	return costs

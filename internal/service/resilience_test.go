@@ -126,24 +126,25 @@ func TestServiceDegradedReport(t *testing.T) {
 }
 
 // TestServiceRestartResume: a coordinator dies mid-job (simulated by a
-// one-attempt budget against a worker that aborts after one durable
-// cell, then Close); a new coordinator over the same DataDir accepts
-// the resubmission, reuses the dead attempt's cell stream — the worker
-// resumes rather than recomputes — and serves bytes identical to a
-// direct run.
+// one-attempt budget against a worker that crashes after its last
+// durable cell but before the artifact write — faults.CrashBeforeArtifact
+// — then Close); a new coordinator over the same DataDir, with no fault
+// plane, accepts the resubmission, reuses the dead attempt's cell
+// stream — the worker resumes rather than recomputes — and serves bytes
+// identical to a direct run.
 func TestServiceRestartResume(t *testing.T) {
 	dataDir := t.TempDir()
 	cfg := Config{
 		DataDir:        dataDir,
 		ExperimentsBin: experimentsBin,
 		PollInterval:   50 * time.Millisecond,
-		MaxAttempts:    1, // the aborted attempt exhausts the budget: job fails, dirs stay
-		ExtraWorkerArgs: []string{
-			"-shard-abort-once", filepath.Join(dataDir, "abort-{shard}.marker"),
-		},
-		Logf: t.Logf,
+		MaxAttempts:    1, // the crashed attempt exhausts the budget: job fails, dirs stay
+		Logf:           t.Logf,
 	}
-	coord1, err := New(cfg)
+	crashing := cfg
+	plan := crashFirstAttempt(faults.CrashBeforeArtifact)
+	crashing.WrapWorker = func(w Worker) Worker { return faults.Wrap(w, plan, t.Logf) }
+	coord1, err := New(crashing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestServiceRestartResume(t *testing.T) {
 	}
 	coord1.Close()
 
-	// Each shard streamed at least one durable cell before aborting.
+	// Each shard streamed its cells before crashing.
 	resumable := 0
 	for shard := 0; shard < 2; shard++ {
 		stream := filepath.Join(dataDir, "jobs", st.ID,

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dsmphase/internal/faults"
 	"dsmphase/internal/harness"
 	"dsmphase/internal/workloads"
 )
@@ -43,6 +44,12 @@ func testRequest() JobRequest {
 		Apps:     []string{"lu"},
 		Interval: 20_000,
 	}
+}
+
+// crashFirstAttempt is a fault plan that injures attempt 0 of every
+// shard with kind and leaves every later attempt alone.
+func crashFirstAttempt(kind faults.Kind) *faults.Plan {
+	return &faults.Plan{Mix: []faults.Weighted{{Kind: kind, Weight: 1}}, ReliableAfter: 1}
 }
 
 func newTestCoordinator(t *testing.T, mutate func(*Config)) *Coordinator {
@@ -240,17 +247,15 @@ func TestServiceCacheHit(t *testing.T) {
 }
 
 // TestServiceWorkerCrashResumes is the fault-tolerance pin: every
-// shard's first worker attempt is killed after one durable cell (the
-// -shard-abort-once fault injection), the coordinator re-dispatches,
-// the retry resumes from the dead attempt's cell stream, and the final
-// report is still byte-identical to a direct run.
+// shard's first worker attempt dies mid-write after streaming its cells
+// (a faults.TornStream crash, which loses the stream's last cell), the
+// coordinator re-dispatches, the retry resumes from the dead attempt's
+// cell stream and recomputes only the torn cell, and the final report
+// is still byte-identical to a direct run.
 func TestServiceWorkerCrashResumes(t *testing.T) {
-	var dataDir string
+	plan := crashFirstAttempt(faults.TornStream)
 	coord := newTestCoordinator(t, func(cfg *Config) {
-		dataDir = cfg.DataDir
-		cfg.ExtraWorkerArgs = []string{
-			"-shard-abort-once", filepath.Join(dataDir, "abort-{shard}.marker"),
-		}
+		cfg.WrapWorker = func(w Worker) Worker { return faults.Wrap(w, plan, t.Logf) }
 	})
 	srv := httptest.NewServer(coord.Handler())
 	defer srv.Close()

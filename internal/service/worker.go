@@ -17,17 +17,14 @@ package service
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
-	"net/url"
 	"os/exec"
 	"strings"
 )
 
-// Worker executes one shard attempt. The zoo behind the interface:
-// local workers exec the experiments binary as a child process; ssh://
-// workers are the cross-machine seam (currently a stub that validates
-// configuration and command plumbing without executing remotely).
+// Worker executes one shard attempt. The pool's workers exec the
+// experiments binary as a local child process; tests and the chaos
+// campaign wrap them (Config.WrapWorker) to inject faults.
 // Run must honor ctx cancellation — the dispatcher cancels losing
 // straggler attempts — and must not return until the attempt's
 // artifact (if any) is fully on disk.
@@ -41,30 +38,14 @@ type Worker interface {
 	Run(ctx context.Context, bin string, args []string) error
 }
 
-// ErrSSHWorkerStub marks the unfinished half of the ssh:// worker
-// scheme: the URL parses, the remote command line is assembled, but
-// remote execution and artifact retrieval are not implemented yet.
-var ErrSSHWorkerStub = errors.New("service: ssh workers are a stub (remote execution and artifact retrieval not implemented)")
-
-// ParseWorker builds a Worker from a pool-configuration URL:
-//
-//	local                   — exec the experiments binary on this host
-//	ssh://[user@]host[/bin] — remote worker over ssh (stub)
-//
+// ParseWorker builds a Worker from a pool-configuration entry. The only
+// kind is "local" (or empty): exec the experiments binary on this host.
 // id uniquifies the worker's display name within the pool.
 func ParseWorker(spec string, id int) (Worker, error) {
-	if spec == "local" || spec == "" {
-		return &localWorker{name: fmt.Sprintf("local-%d", id)}, nil
+	if spec != "local" && spec != "" {
+		return nil, fmt.Errorf("service: worker %q: want \"local\"", spec)
 	}
-	u, err := url.Parse(spec)
-	if err != nil || u.Scheme != "ssh" || u.Host == "" {
-		return nil, fmt.Errorf("service: worker %q: want \"local\" or \"ssh://[user@]host[/remote/bin]\"", spec)
-	}
-	w := &sshWorker{name: fmt.Sprintf("ssh-%d(%s)", id, u.Host), host: u.Host, remoteBin: strings.TrimPrefix(u.Path, "/")}
-	if u.User != nil {
-		w.host = u.User.Username() + "@" + u.Host
-	}
-	return w, nil
+	return &localWorker{name: fmt.Sprintf("local-%d", id)}, nil
 }
 
 // localWorker execs the experiments binary as a child process.
@@ -91,33 +72,4 @@ func (w *localWorker) Run(ctx context.Context, bin string, args []string) error 
 		return fmt.Errorf("%s: %w", w.name, err)
 	}
 	return nil
-}
-
-// sshWorker is the cross-machine seam. RemoteCommand shows the shape
-// the finished implementation will exec; Run refuses with
-// ErrSSHWorkerStub so a misconfigured pool fails loudly instead of
-// hanging a job.
-type sshWorker struct {
-	name      string
-	host      string
-	remoteBin string
-}
-
-func (w *sshWorker) Name() string { return w.name }
-
-// RemoteCommand is the argument vector a finished ssh worker would
-// exec: run the remote experiments binary, then stream the shard dir
-// back. Exported for the stub's tests and as the blueprint for the
-// real implementation.
-func (w *sshWorker) RemoteCommand(bin string, args []string) []string {
-	remote := w.remoteBin
-	if remote == "" {
-		remote = bin
-	}
-	return append([]string{"ssh", w.host, remote}, args...)
-}
-
-func (w *sshWorker) Run(ctx context.Context, bin string, args []string) error {
-	_ = w.RemoteCommand(bin, args)
-	return fmt.Errorf("%s: %w", w.name, ErrSSHWorkerStub)
 }

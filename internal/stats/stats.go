@@ -33,7 +33,8 @@ func StdDev(xs []float64) float64 {
 	var ss float64
 	for _, x := range xs {
 		d := x - m
-		ss += d * d
+		// float64() rounds the product, so no architecture fuses it (DESIGN.md §9).
+		ss += float64(d * d)
 	}
 	return math.Sqrt(ss / float64(len(xs)))
 }
@@ -224,7 +225,7 @@ func MeanCI95(xs []float64) (mean, half float64) {
 	var ss float64
 	for _, x := range xs {
 		d := x - mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	sd := math.Sqrt(ss / float64(n-1))
 	df := n - 1
@@ -349,7 +350,7 @@ func LinSpace(lo, hi float64, n int) []float64 {
 	out := make([]float64, n)
 	step := (hi - lo) / float64(n-1)
 	for i := range out {
-		out[i] = lo + float64(i)*step
+		out[i] = lo + float64(float64(i)*step)
 	}
 	out[n-1] = hi
 	return out

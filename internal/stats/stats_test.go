@@ -235,6 +235,26 @@ func TestLinSpace(t *testing.T) {
 	}
 }
 
+// TestLinSpaceUnfused pins why result-path products are wrapped in an
+// explicit float64(...) conversion. Go may fuse x*y+z into one FMA
+// instruction on arm64, ppc64le and s390x (never on amd64), skipping the
+// product's rounding; the Go spec makes an explicit conversion a
+// rounding point, which forbids the fusion. For this LinSpace point the
+// fused and unfused forms of lo + i*step differ in the last bit, so a
+// fused build would return a different grid than an amd64 build.
+// make fma-check keeps fused mnemonics out of the result path.
+func TestLinSpaceUnfused(t *testing.T) {
+	lo, hi, n, i := 0.1, 0.7, 7, 3
+	step := (hi - lo) / float64(n-1)
+	unfused := lo + float64(float64(i)*step)
+	if fused := math.FMA(float64(i), step, lo); fused == unfused {
+		t.Fatalf("fixture no longer separates fused %v from unfused %v", fused, unfused)
+	}
+	if got := LinSpace(lo, hi, n)[i]; got != unfused {
+		t.Errorf("LinSpace(%v, %v, %d)[%d] = %v, want the unfused %v", lo, hi, n, i, got, unfused)
+	}
+}
+
 func TestSpacesPanic(t *testing.T) {
 	for _, f := range []func(){
 		func() { GeomSpace(0, 1, 10) },

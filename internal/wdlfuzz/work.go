@@ -39,7 +39,8 @@ func EstimateWork(src []byte) float64 {
 			}
 			w += bw
 		}
-		total += w * numOr(ph["repeat"], 1)
+		// float64() rounds the product, so no architecture fuses it (DESIGN.md §9).
+		total += float64(w * numOr(ph["repeat"], 1))
 	}
 	total *= numOr(spec["repeat"], 1)
 	if sc, ok := spec["scale"].(map[string]any); ok {
