@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt fmt-check fma-check reader-fuzz-smoke bench bench-json bench-smoke bench-check golden golden-update tuning-smoke shard-smoke service-smoke workload-smoke workload-smoke-update fuzz-smoke sweep-fuzz-smoke coherence-race resilience-race chaos-smoke ci
+.PHONY: build test vet fmt fmt-check fma-check reader-fuzz-smoke bench bench-json bench-smoke bench-check golden golden-update tuning-smoke shard-smoke service-smoke workload-smoke workload-smoke-update fuzz-smoke sweep-fuzz-smoke coherence-race resilience-race chaos-smoke bench-module ci
 
 build:
 	$(GO) build ./...
@@ -116,11 +116,13 @@ service-smoke:
 # against a hand-rolled simulate-then-sweep figure loop, shard-set
 # merges against the unsharded run (all encoders, tuning included),
 # and the
-# cmd/experiments report — including the -tuning scorecard and the
-# shard+merge path — across worker counts, all under -race.
+# cmd/experiments report — every section pinned to
+# testdata/report_all.golden, the coordinator's cache keys pinned, the
+# -tuning scorecard and the shard+merge path across worker counts — all
+# under -race.
 golden:
-	$(GO) test -race -run 'TestGolden|TestSpecLegacyByteIdentity|TestMergeByteIdentity|TestMergeTuningByteIdentity' ./internal/harness
-	$(GO) test -race -run 'TestParallelReportByteIdentical|TestTuningScorecardDeterministic|TestShardMergeByteIdentity' ./cmd/experiments
+	$(GO) test -race -run 'TestGolden|TestSpecLegacyByteIdentity|TestMergeByteIdentity|TestMergeTuningByteIdentity|TestNamedGridRender' ./internal/harness
+	$(GO) test -race -run 'TestReportAllGolden|TestJobKeyPinned|TestParallelReportByteIdentical|TestTuningScorecardDeterministic|TestShardMergeByteIdentity' ./cmd/experiments
 
 # Regenerate the golden files (report and tuning encoders, shard
 # artifact) after an intentional format change; remember to update
@@ -221,4 +223,12 @@ chaos-smoke:
 	$(GO) build -o "$$tmp/dsmphased" ./cmd/dsmphased && \
 	"$$tmp/dsmphased" -chaos 4 -chaos-seed 1 -data "$$tmp/data" -experiments "$$tmp/experiments" > "$$tmp/chaos.json"
 
-ci: build fmt-check vet fma-check test coherence-race resilience-race bench bench-check golden tuning-smoke shard-smoke workload-smoke fuzz-smoke sweep-fuzz-smoke reader-fuzz-smoke service-smoke chaos-smoke
+# The benchmark is a nested module (dsmbench/go.mod) that compiles
+# against internal packages, and `go build ./...` at the root skips
+# nested modules: vet and test it on its own so an API change that
+# breaks the benchmark fails here.
+bench-module:
+	$(GO) -C dsmbench vet ./...
+	$(GO) -C dsmbench test ./...
+
+ci: build fmt-check vet fma-check test bench-module coherence-race resilience-race bench bench-check golden tuning-smoke shard-smoke workload-smoke fuzz-smoke sweep-fuzz-smoke reader-fuzz-smoke service-smoke chaos-smoke

@@ -6,9 +6,11 @@
 //	covcurve -figure 4 -replicates 5  # mean ± 95% CI bands across seeds
 //	covcurve -figure 4 -format csv    # csv / json / markdown encoders
 //	covcurve -figure 4 -size full -interval 3000000   # paper scale
-//	covcurve -figure 4 -shard 0/2 -shard-out s0.json  # one cluster worker
-//	covcurve -figure 4 -merge s0.json s1.json         # byte-identical report
 //
+// The figures are the registry grids "figure2" and "figure4"
+// (harness.BuildGrid), so their axes are fixed there and -procs applies
+// only in custom mode (-figure 0). To shard a figure across machines,
+// use `experiments -grids figure2|figure4 -shard i/n` and `-merge`.
 // Experiments are declared as Spec grids over the sharded engine and
 // rendered by a Report encoder. The default text format prints one
 // block per curve ("phases cov thBBV thDDS" rows, suitable for
@@ -32,7 +34,7 @@ func main() {
 	var (
 		figure     = flag.Int("figure", 0, "paper figure to regenerate: 2 or 4 (0 = custom)")
 		apps       = flag.String("apps", "", "comma-separated workloads, or a panel alias: paper, extended")
-		procsArg   = flag.String("procs", "", "comma-separated node counts (default per figure)")
+		procsArg   = flag.String("procs", "", "comma-separated node counts (custom mode only; default 8)")
 		sizeArg    = flag.String("size", "small", "input scale: test, small or full")
 		interval   = flag.Uint64("interval", 0, "total sampling interval in instructions (split across nodes; 0 = 300k reduced-input default; paper: 3000000)")
 		detector   = flag.String("detector", "", "bbv, ddv, dds, wss, both or all (custom mode)")
@@ -43,14 +45,8 @@ func main() {
 		progress   = flag.Bool("progress", false, "report per-cell progress and ETA on stderr")
 		compare    = flag.Bool("compare", false, "also print BBV vs BBV+DDV comparisons at 10/25 phases (text format)")
 		asciiPlt   = flag.Bool("plot", false, "render ASCII charts (one panel per application, log y; text format, replicates=1)")
-		shardArg   = flag.String("shard", "", `run only shard i of n ("i/n") and write a shard artifact instead of the report`)
-		shardOut   = flag.String("shard-out", "-", `shard artifact path ("-" = stdout)`)
-		mergeFlag  = flag.Bool("merge", false, "merge the shard artifacts given as arguments into the report")
 	)
 	flag.Parse()
-	if *shardArg != "" && *mergeFlag {
-		fatal(fmt.Errorf("-shard and -merge are mutually exclusive"))
-	}
 
 	size, err := dsmphase.ParseSize(*sizeArg)
 	if err != nil {
@@ -65,12 +61,12 @@ func main() {
 		opts.Progress = dsmphase.ProgressPrinter(os.Stderr)
 	}
 
-	base := []dsmphase.SpecOption{
-		dsmphase.WithApps(splitList(*apps)...),
-		dsmphase.WithSize(size),
-		dsmphase.WithInterval(*interval),
-		dsmphase.WithSeed(*seed),
-		dsmphase.WithReplicates(*replicates),
+	gp := dsmphase.GridParams{
+		Size:       size,
+		Apps:       splitList(*apps),
+		Interval:   *interval,
+		Seed:       *seed,
+		Replicates: *replicates,
 	}
 	var spec *dsmphase.Spec
 	var title string
@@ -78,26 +74,19 @@ func main() {
 	// complete or absent; custom mode isolates failures.
 	strict := false
 	switch *figure {
-	case 2:
+	case 2, 4:
+		if len(procs) > 0 {
+			fatal(fmt.Errorf("-procs applies only in custom mode (-figure 0); figure %d fixes its node counts", *figure))
+		}
+		g, err := dsmphase.BuildGrid(fmt.Sprintf("figure%d", *figure), gp)
+		if err != nil {
+			fatal(err)
+		}
+		spec, strict = g.Spec, true
 		title = "Figure 2: baseline BBV CoV curves"
-		strict = true
-		if len(procs) == 0 {
-			procs = []int{2, 8, 32}
+		if *figure == 4 {
+			title = "Figure 4: BBV vs BBV+DDV CoV curves"
 		}
-		spec = dsmphase.NewSpec(append(base,
-			dsmphase.WithProcs(procs...),
-			dsmphase.WithDetectors(dsmphase.DetectorBBV),
-		)...)
-	case 4:
-		title = "Figure 4: BBV vs BBV+DDV CoV curves"
-		strict = true
-		if len(procs) == 0 {
-			procs = []int{8, 32}
-		}
-		spec = dsmphase.NewSpec(append(base,
-			dsmphase.WithProcs(procs...),
-			dsmphase.WithDetectors(dsmphase.DetectorBBV, dsmphase.DetectorBBVDDV),
-		)...)
 	case 0:
 		title = "Custom CoV curves"
 		kinds, err := parseDetector(*detector)
@@ -107,10 +96,15 @@ func main() {
 		if len(procs) == 0 {
 			procs = []int{8}
 		}
-		spec = dsmphase.NewSpec(append(base,
+		spec = dsmphase.NewSpec(
+			dsmphase.WithApps(gp.Apps...),
+			dsmphase.WithSize(size),
+			dsmphase.WithInterval(*interval),
+			dsmphase.WithSeed(*seed),
+			dsmphase.WithReplicates(*replicates),
 			dsmphase.WithProcs(procs...),
 			dsmphase.WithDetectors(kinds...),
-		)...)
+		)
 	default:
 		fatal(fmt.Errorf("unknown figure %d (the paper has figures 2 and 4)", *figure))
 	}
@@ -119,48 +113,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *shardArg != "" {
-		// One cluster worker's share of the grid: write the versioned
-		// shard artifact (docs/MERGE_FORMAT.md) instead of the report.
-		shard, of, err := dsmphase.ParseShard(*shardArg)
-		if err != nil {
-			fatal(err)
-		}
-		grid, err := dsmphase.NewShardGrid("covcurve", spec, spec.RunShard(shard, of, opts), false, false)
-		if err != nil {
-			fatal(err)
-		}
-		art := &dsmphase.ShardArtifact{Format: dsmphase.ShardFormat, Shard: shard, Of: of,
-			Grids: []dsmphase.ShardGrid{grid}}
-		if *shardOut == "-" {
-			err = dsmphase.WriteShardArtifact(os.Stdout, art)
-		} else {
-			err = dsmphase.WriteShardArtifactFile(*shardOut, art)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		return
-	}
-	var rep *dsmphase.Report
-	if *mergeFlag {
-		// Reassemble a complete shard set through the same aggregation
-		// path Run uses; the report bytes match the unsharded run.
-		if flag.NArg() == 0 {
-			fatal(fmt.Errorf("-merge needs shard artifact files as arguments"))
-		}
-		arts, err := dsmphase.ReadShardArtifactFiles(flag.Args())
-		if err != nil {
-			fatal(err)
-		}
-		results, err := dsmphase.MergeShards(spec, "covcurve", arts)
-		if err != nil {
-			fatal(err)
-		}
-		rep = spec.Assemble(results)
-	} else {
-		rep = spec.Run(opts)
-	}
+	rep := spec.Run(opts)
 	if strict {
 		if err := rep.FirstError(); err != nil {
 			fatal(err)

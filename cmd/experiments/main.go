@@ -177,16 +177,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	// Validate the tuning format before any simulation runs: a typo must
-	// fail in milliseconds, not after the figure grids finished.
-	var tuningEnc dsmphase.TuningEncoder
-	for _, g := range grids {
-		if g.Tuning {
-			tuningEnc, err = dsmphase.NewTuningEncoder(*tuningFmt,
-				"Adaptive tuning — detector × predictor × controller")
-			if err != nil {
-				return err
-			}
-		}
+	// fail in milliseconds, not after the figure grids finished. Both
+	// report families share one format registry, so either checks it.
+	if _, err := dsmphase.NewEncoder(*tuningFmt, ""); err != nil {
+		return err
 	}
 
 	// The ETA prior: a previous run's persisted per-cell timings.
@@ -218,16 +212,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	// Produce each grid's report: simulated here, reassembled from shard
-	// artifacts, or served by a dsmphased coordinator. All paths flow
-	// through the same aggregation, so the rendered bytes agree.
-	reports := map[string]*dsmphase.Report{}
-	var tuningRep *dsmphase.TuningReport
+	// Produce each grid's plan-ordered cell results: simulated here,
+	// reassembled from shard artifacts, or served by a dsmphased
+	// coordinator. One render step follows, so the bytes agree.
+	var results map[string][]dsmphase.CellResult
 	switch {
 	case *mergeFlag:
-		if reports, tuningRep, err = mergeGrids(grids, fs.Args(), stderr); err != nil {
-			return err
-		}
+		results, err = mergeGrids(grids, fs.Args(), stderr)
 	case *submitURL != "":
 		req := service.JobRequest{
 			Size:         *sizeArg,
@@ -239,39 +230,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 			Workloads:    workloadSources,
 			AllowPartial: *allowPart,
 		}
-		if reports, tuningRep, err = runSubmit(*submitURL, grids, req, stderr); err != nil {
-			return err
-		}
+		results, err = runSubmit(*submitURL, grids, req, stderr)
 	default:
+		results = map[string][]dsmphase.CellResult{}
 		for _, g := range grids {
-			if g.Tuning {
-				if tuningRep, err = g.Spec.RunTuning(makeOpts()); err != nil {
-					return err
-				}
-			} else {
-				reports[g.Name] = g.Spec.Run(makeOpts())
+			opts := makeOpts()
+			if opts.Hook, err = g.Hook(); err != nil {
+				return err
 			}
+			results[g.Name] = dsmphase.RunPlan(g.Spec.Plan(), opts)
 		}
 	}
-
-	fmt.Fprintf(stdout, "# Experiment report (size=%s, seed=%d)\n\n", size, *seed)
-	fig2, fig4 := reports["figure2"], reports["figure4"]
-	if fig2 != nil {
-		reportFigure2(stdout, fig2)
+	if err != nil {
+		return err
 	}
-	if fig4 != nil {
-		reportFigure4(stdout, fig4)
-	}
-	reportOverhead(stdout)
-	if rep := reports["ablation"]; rep != nil {
-		if err := reportAblation(stdout, rep); err != nil {
-			return err
-		}
-	}
-	if tuningRep != nil {
-		if err := tuningEnc.Encode(stdout, tuningRep); err != nil {
-			return err
-		}
+	if err := render(stdout, grids, results, size, *seed, *tuningFmt); err != nil {
+		return err
 	}
 
 	fmt.Fprintf(stderr, "total runtime: %v (parallel=%d)\n",
@@ -280,15 +254,57 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// Per-cell isolation keeps a partial report useful, but a run where
 	// every cell failed produced no evaluation at all — exit non-zero so
 	// scripted consumers notice.
-	if fig2 != nil && fig4 != nil && len(fig2.Curves()) == 0 && len(fig4.Curves()) == 0 {
-		if err := fig2.FirstError(); err != nil {
-			return fmt.Errorf("every cell failed; first error: %w", err)
-		}
-		if err := fig4.FirstError(); err != nil {
+	fig2, ok2 := results["figure2"]
+	fig4, ok4 := results["figure4"]
+	if ok2 && ok4 && allFailed(fig2) && allFailed(fig4) {
+		if err := dsmphase.FirstError(append(fig2, fig4...)); err != nil {
 			return fmt.Errorf("every cell failed; first error: %w", err)
 		}
 	}
 	return nil
+}
+
+// render writes the report from every grid's plan-ordered results, in
+// a fixed section order whatever the grid order: the figure tables and
+// their claim checks, the overhead estimate, then the ablation and
+// tuning scorecards. It returns the first write error.
+func render(w io.Writer, grids []dsmphase.NamedGrid, results map[string][]dsmphase.CellResult,
+	size dsmphase.Size, seed uint64, tuningFmt string) error {
+	byName := map[string]dsmphase.NamedGrid{}
+	for _, g := range grids {
+		byName[g.Name] = g
+	}
+	rw := dsmphase.NewRowWriter(w)
+	rw.Printf("# Experiment report (size=%s, seed=%d)\n\n", size, seed)
+	if g, ok := byName["figure2"]; ok {
+		reportFigure2(rw, g.Spec.Assemble(results[g.Name]))
+	}
+	if g, ok := byName["figure4"]; ok {
+		reportFigure4(rw, g.Spec.Assemble(results[g.Name]))
+	}
+	reportOverhead(rw)
+	if g, ok := byName["ablation"]; ok {
+		if err := g.Render(rw, "markdown", "Ablation — DDS design choices", results[g.Name]); err != nil {
+			return err
+		}
+		reportSkipped(rw, results[g.Name])
+	}
+	if g, ok := byName["tuning"]; ok {
+		if err := g.Render(rw, tuningFmt, "Adaptive tuning — detector × predictor × controller", results[g.Name]); err != nil {
+			return err
+		}
+	}
+	return rw.Err()
+}
+
+// allFailed reports whether no cell of a grid succeeded.
+func allFailed(results []dsmphase.CellResult) bool {
+	for _, r := range results {
+		if r.Err == nil {
+			return false
+		}
+	}
+	return true
 }
 
 // applyPreset rewrites flag defaults from a named preset, keeping any
@@ -373,15 +389,11 @@ func runShard(grids []dsmphase.NamedGrid, shardArg, out, dir string, withTrace b
 	art := &dsmphase.ShardArtifact{Format: dsmphase.ShardFormat, Shard: shard, Of: of}
 	resumed := 0
 	for _, g := range grids {
+		// The tuning grid's hook makes each cell's artifact entry carry
+		// the scorecard payload.
 		opts := makeOpts()
-		if g.Tuning {
-			// The tuning grid needs the online adaptive-loop hook so each
-			// cell's artifact entry carries the scorecard payload.
-			hook, err := g.Spec.TuningHook()
-			if err != nil {
-				return err
-			}
-			opts.Hook = hook
+		if opts.Hook, err = g.Hook(); err != nil {
+			return err
 		}
 		if withTrace {
 			opts.Hook = dsmphase.TraceHook(opts.Hook)
@@ -429,23 +441,22 @@ func runShard(grids []dsmphase.NamedGrid, shardArg, out, dir string, withTrace b
 
 // runSubmit is the service-client mode: one job per selected grid is
 // posted to a dsmphased coordinator, and the served artifacts are
-// reassembled through the same MergeShards/Assemble aggregation the
-// local paths use — so the rendered report is byte-identical to a
-// direct run of the same flags.
-func runSubmit(url string, grids []dsmphase.NamedGrid, req service.JobRequest, stderr io.Writer) (map[string]*dsmphase.Report, *dsmphase.TuningReport, error) {
+// reassembled through the same MergeShards path the local merge uses —
+// so the rendered report is byte-identical to a direct run of the same
+// flags.
+func runSubmit(url string, grids []dsmphase.NamedGrid, req service.JobRequest, stderr io.Writer) (map[string][]dsmphase.CellResult, error) {
 	client := &service.Client{BaseURL: url}
-	reports := map[string]*dsmphase.Report{}
-	var tuningRep *dsmphase.TuningReport
+	results := map[string][]dsmphase.CellResult{}
 	for _, g := range grids {
 		r := req
 		r.Grid = g.Name
 		st, err := client.Submit(r)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		fmt.Fprintf(stderr, "experiments: submitted %s as %s (%s)\n", g.Name, st.ID, st.State)
 		if st, err = client.Wait(st.ID, 0); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if st.Cached {
 			fmt.Fprintf(stderr, "experiments: %s served from the coordinator's result cache\n", st.ID)
@@ -456,81 +467,49 @@ func runSubmit(url string, grids []dsmphase.NamedGrid, req service.JobRequest, s
 		}
 		art, err := client.Artifact(st.ID)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		results, err := dsmphase.MergeShards(g.Spec, g.Name, []*dsmphase.ShardArtifact{art})
-		if err != nil {
-			return nil, nil, err
-		}
-		if g.Tuning {
-			if tuningRep, err = g.Spec.AssembleTuning(results); err != nil {
-				return nil, nil, err
-			}
-		} else {
-			reports[g.Name] = g.Spec.Assemble(results)
+		if results[g.Name], err = dsmphase.MergeShards(g.Spec, g.Name, []*dsmphase.ShardArtifact{art}); err != nil {
+			return nil, err
 		}
 	}
-	return reports, tuningRep, nil
+	return results, nil
 }
 
 // mergeGrids reads a complete shard-artifact set and reassembles every
-// grid's report through the same aggregation path the unsharded run
-// uses. An artifact grid the merge-side flags did not select (e.g.
+// grid's plan-ordered results, exactly as the unsharded run produces
+// them. An artifact grid the merge-side flags did not select (e.g.
 // shards ran with -ablation, the merge without) is noted on stderr so
 // the data is not silently dropped; the reverse — a selected grid the
 // artifacts lack — is a hard error from MergeShards.
-func mergeGrids(grids []dsmphase.NamedGrid, files []string, stderr io.Writer) (map[string]*dsmphase.Report, *dsmphase.TuningReport, error) {
+func mergeGrids(grids []dsmphase.NamedGrid, files []string, stderr io.Writer) (map[string][]dsmphase.CellResult, error) {
 	if len(files) == 0 {
-		return nil, nil, fmt.Errorf("-merge needs shard artifact files as arguments")
+		return nil, fmt.Errorf("-merge needs shard artifact files as arguments")
 	}
 	arts, err := dsmphase.ReadShardArtifactFiles(files)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	reports := map[string]*dsmphase.Report{}
-	var tuningRep *dsmphase.TuningReport
-	selected := map[string]bool{}
+	results := map[string][]dsmphase.CellResult{}
 	for _, g := range grids {
-		selected[g.Name] = true
-		results, err := dsmphase.MergeShards(g.Spec, g.Name, arts)
-		if err != nil {
-			return nil, nil, err
-		}
-		if g.Tuning {
-			if tuningRep, err = g.Spec.AssembleTuning(results); err != nil {
-				return nil, nil, err
-			}
-		} else {
-			reports[g.Name] = g.Spec.Assemble(results)
+		if results[g.Name], err = dsmphase.MergeShards(g.Spec, g.Name, arts); err != nil {
+			return nil, err
 		}
 	}
 	for _, ag := range arts[0].Grids {
-		if !selected[ag.Name] {
+		if _, ok := results[ag.Name]; !ok {
 			fmt.Fprintf(stderr, "experiments: note: shard artifacts carry grid %q, which the merge flags did not select; rerun -merge with the shard run's flags to render it\n", ag.Name)
 		}
 	}
-	return reports, tuningRep, nil
-}
-
-// reportAblation appends the ablation grid's markdown scorecard.
-func reportAblation(w io.Writer, rep *dsmphase.Report) error {
-	enc, err := dsmphase.NewEncoder("markdown", "Ablation — DDS design choices")
-	if err != nil {
-		return err
-	}
-	if err := enc.Encode(w, rep); err != nil {
-		return err
-	}
-	reportSkipped(w, rep.CellResults())
-	return nil
+	return results, nil
 }
 
 // reportSkipped lists failed cells; the engine isolates them so the
 // rest of the figure still reports.
-func reportSkipped(w io.Writer, results []dsmphase.CellResult) {
+func reportSkipped(rw *dsmphase.RowWriter, results []dsmphase.CellResult) {
 	for _, r := range results {
 		if r.Err != nil {
-			fmt.Fprintf(w, "- skipped `%s`: %v\n", r.Cell.Label(), r.Err)
+			rw.Printf("- skipped `%s`: %v\n", r.Cell.Label(), r.Err)
 		}
 	}
 }
@@ -563,16 +542,13 @@ func (b bandAt) hi() float64 { return b.mean + b.half }
 // confidence bands to separate — overlapping bands are not a
 // statistically supported degradation. At one replicate the check falls
 // back to comparing bare means over the full sequence.
-func reportFigure2(w io.Writer, rep *dsmphase.Report) {
-	fmt.Fprintln(w, "## Figure 2 — baseline BBV vs node count")
-	fmt.Fprintln(w)
+func reportFigure2(rw *dsmphase.RowWriter, rep *dsmphase.Report) {
+	rw.Printf("## Figure 2 — baseline BBV vs node count\n\n")
 	ci := rep.Replicates > 1
 	if ci {
-		fmt.Fprintln(w, "| app | procs | CoV@10 | CoV@25 | ±CI@25 |")
-		fmt.Fprintln(w, "|---|---|---|---|---|")
+		rw.MarkdownHeader("app", "procs", "CoV@10", "CoV@25", "±CI@25")
 	} else {
-		fmt.Fprintln(w, "| app | procs | CoV@10 | CoV@25 |")
-		fmt.Fprintln(w, "|---|---|---|---|")
+		rw.MarkdownHeader("app", "procs", "CoV@10", "CoV@25")
 	}
 	covs := map[string][]bandAt{} // app -> CoV@25 band in procs order
 	var appOrder []string
@@ -584,18 +560,17 @@ func reportFigure2(w io.Writer, rep *dsmphase.Report) {
 		c25, half25 := c.Band.At(25)
 		app := appCell(c.Config)
 		if ci {
-			fmt.Fprintf(w, "| %s | %d | %s | %s | %s |\n",
-				app, c.Config.Procs, fmtCov(c10), fmtCov(c25), fmtCov(half25))
+			rw.Markdown(app, c.Config.Procs, fmtCov(c10), fmtCov(c25), fmtCov(half25))
 		} else {
-			fmt.Fprintf(w, "| %s | %d | %s | %s |\n", app, c.Config.Procs, fmtCov(c10), fmtCov(c25))
+			rw.Markdown(app, c.Config.Procs, fmtCov(c10), fmtCov(c25))
 		}
 		if _, seen := covs[app]; !seen {
 			appOrder = append(appOrder, app)
 		}
 		covs[app] = append(covs[app], bandAt{mean: c25, half: half25})
 	}
-	fmt.Fprintln(w)
-	reportSkipped(w, rep.CellResults())
+	rw.Printf("\n")
+	reportSkipped(rw, rep.CellResults())
 	pass := 0
 	for _, app := range appOrder {
 		cs := covs[app]
@@ -608,18 +583,18 @@ func reportFigure2(w io.Writer, rep *dsmphase.Report) {
 		}
 		switch {
 		case !monotone || cs[len(cs)-1].mean <= cs[0].mean:
-			fmt.Fprintf(w, "- `%s`: no monotone degradation across node counts ✗\n", app)
+			rw.Printf("- `%s`: no monotone degradation across node counts ✗\n", app)
 		case ci && cs[len(cs)-1].lo() <= cs[0].hi():
-			fmt.Fprintf(w, "- `%s`: degradation within CI overlap (not significant) ✗\n", app)
+			rw.Printf("- `%s`: degradation within CI overlap (not significant) ✗\n", app)
 		case ci:
-			fmt.Fprintf(w, "- `%s`: monotone degradation across node counts (CI-separated) ✓\n", app)
+			rw.Printf("- `%s`: monotone degradation across node counts (CI-separated) ✓\n", app)
 			pass++
 		default:
-			fmt.Fprintf(w, "- `%s`: monotone degradation across node counts ✓\n", app)
+			rw.Printf("- `%s`: monotone degradation across node counts ✓\n", app)
 			pass++
 		}
 	}
-	fmt.Fprintf(w, "\n**Claim (quality degrades with node count): %d/%d applications.**\n\n",
+	rw.Printf("\n**Claim (quality degrades with node count): %d/%d applications.**\n\n",
 		pass, len(appOrder))
 }
 
@@ -629,16 +604,13 @@ func reportFigure2(w io.Writer, rep *dsmphase.Report) {
 // detectors' 95% CI bands at the 25-phase budget separate (DDV's upper
 // bound below BBV's lower bound) — an overlapping-CI "win" proves
 // nothing. At one replicate it falls back to comparing bare means.
-func reportFigure4(w io.Writer, rep *dsmphase.Report) {
-	fmt.Fprintln(w, "## Figure 4 — BBV vs BBV+DDV")
-	fmt.Fprintln(w)
+func reportFigure4(rw *dsmphase.RowWriter, rep *dsmphase.Report) {
+	rw.Printf("## Figure 4 — BBV vs BBV+DDV\n\n")
 	ci := rep.Replicates > 1
 	if ci {
-		fmt.Fprintln(w, "| app | procs | BBV@25 | DDV@25 | gain | ±CI(DDV) |")
-		fmt.Fprintln(w, "|---|---|---|---|---|---|")
+		rw.MarkdownHeader("app", "procs", "BBV@25", "DDV@25", "gain", "±CI(DDV)")
 	} else {
-		fmt.Fprintln(w, "| app | procs | BBV@25 | DDV@25 | gain |")
-		fmt.Fprintln(w, "|---|---|---|---|---|")
+		rw.MarkdownHeader("app", "procs", "BBV@25", "DDV@25", "gain")
 	}
 	type key struct {
 		app   string
@@ -677,10 +649,9 @@ func reportFigure4(w io.Writer, rep *dsmphase.Report) {
 			gain = "∞"
 		}
 		if ci {
-			fmt.Fprintf(w, "| %s | %d | %s | %s | %s | %s |\n",
-				k.app, k.procs, fmtCov(b25), fmtCov(d25), gain, fmtCov(dHalf))
+			rw.Markdown(k.app, k.procs, fmtCov(b25), fmtCov(d25), gain, fmtCov(dHalf))
 		} else {
-			fmt.Fprintf(w, "| %s | %d | %s | %s | %s |\n", k.app, k.procs, fmtCov(b25), fmtCov(d25), gain)
+			rw.Markdown(k.app, k.procs, fmtCov(b25), fmtCov(d25), gain)
 		}
 		total++
 		if ci {
@@ -692,27 +663,26 @@ func reportFigure4(w io.Writer, rep *dsmphase.Report) {
 			wins++
 		}
 	}
-	fmt.Fprintln(w)
-	reportSkipped(w, rep.CellResults())
+	rw.Printf("\n")
+	reportSkipped(rw, rep.CellResults())
 	if ci {
-		fmt.Fprintf(w, "**Claim (BBV+DDV improves CoV across the board, CI-separated): %d/%d configurations.**\n\n",
+		rw.Printf("**Claim (BBV+DDV improves CoV across the board, CI-separated): %d/%d configurations.**\n\n",
 			wins, total)
 	} else {
-		fmt.Fprintf(w, "**Claim (BBV+DDV improves CoV across the board): %d/%d configurations.**\n\n",
+		rw.Printf("**Claim (BBV+DDV improves CoV across the board): %d/%d configurations.**\n\n",
 			wins, total)
 	}
 }
 
 // reportOverhead prints the §III-B estimate against the paper's quote.
-func reportOverhead(w io.Writer) {
+func reportOverhead(rw *dsmphase.RowWriter) {
 	o := dsmphase.PaperOverheadConfig()
 	bw := o.BandwidthPerProcessor()
 	frac := o.FractionOfController()
-	fmt.Fprintln(w, "## §III-B — DDS exchange overhead")
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "- bandwidth per processor: %.1f kB/s (paper: \"about 160kB/s\") %s\n",
+	rw.Printf("## §III-B — DDS exchange overhead\n\n")
+	rw.Printf("- bandwidth per processor: %.1f kB/s (paper: \"about 160kB/s\") %s\n",
 		bw/1e3, check(bw > 150e3 && bw < 170e3))
-	fmt.Fprintf(w, "- fraction of 1.5 GB/s controller: %.4f%% (paper: \"under 0.15%%\") %s\n",
+	rw.Printf("- fraction of 1.5 GB/s controller: %.4f%% (paper: \"under 0.15%%\") %s\n",
 		100*frac, check(frac < 0.0015))
 }
 

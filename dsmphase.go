@@ -318,8 +318,16 @@ func WithPhaseBudget(budget float64) SpecOption { return harness.WithPhaseBudget
 // "markdown").
 func NewEncoder(name, title string) (Encoder, error) { return harness.NewEncoder(name, title) }
 
-// EncoderNames returns the registered encoder names.
+// EncoderNames returns the registered format names, shared by the
+// Report and TuningReport encoder families.
 func EncoderNames() []string { return harness.EncoderNames() }
+
+// RowWriter writes report lines and keeps the first write error, so a
+// renderer checks once, at the end (see harness.RowWriter).
+type RowWriter = harness.RowWriter
+
+// NewRowWriter wraps w in a RowWriter.
+func NewRowWriter(w io.Writer) *RowWriter { return harness.NewRowWriter(w) }
 
 // AppsPanel returns a named application panel ("paper", "extended",
 // "adversarial").
@@ -519,9 +527,6 @@ func NewTuningEncoder(name, title string) (TuningEncoder, error) {
 	return harness.NewTuningEncoder(name, title)
 }
 
-// TuningEncoderNames returns the registered tuning encoder names.
-func TuningEncoderNames() []string { return harness.TuningEncoderNames() }
-
 // DefaultControllers returns the default controller axis of a tuning
 // grid.
 func DefaultControllers() []ControllerSpec { return harness.DefaultControllers() }
@@ -550,11 +555,12 @@ type CellHook = harness.CellHook
 // ---- Cross-machine sharding: Spec → shard artifacts → merged report ----
 //
 // A Spec's grid shards across machines: worker i runs
-// Spec.RunShard(i, n) (or RunTuningShard) and serializes the results
-// with NewShardGrid + WriteShardArtifact; the merge side reads the n
-// artifacts, reassembles plan-ordered results with MergeShards, and
-// Spec.Assemble / Spec.AssembleTuning reproduce the unsharded report
-// byte for byte in every encoder format. See docs/MERGE_FORMAT.md.
+// Spec.RunShard(i, n) (tuning grids with NamedGrid.Hook installed) and
+// serializes the results with NewShardGrid + WriteShardArtifact; the
+// merge side reads the n artifacts, reassembles plan-ordered results
+// with MergeShards, and NamedGrid.Render (or Spec.Assemble /
+// Spec.AssembleTuning) reproduces the unsharded report byte for byte in
+// every encoder format. See docs/MERGE_FORMAT.md.
 
 // ShardFormat is the versioned format tag of a shard artifact.
 const ShardFormat = harness.ShardFormat
@@ -653,7 +659,8 @@ func ProgressEvents(sink EventSink, perCell time.Duration, cells int) func(done,
 type GridParams = harness.GridParams
 
 // NamedGrid is one registry entry: a grid name bound to its compiled
-// Spec.
+// Spec. Its Hook, Render and Key methods decide between the plain and
+// the tuning report family, so callers never branch on Tuning.
 type NamedGrid = harness.NamedGrid
 
 // BuildGrid compiles a named experiment grid ("figure2", "figure4",

@@ -199,8 +199,8 @@ func TestFacadeRunTuning(t *testing.T) {
 	if !strings.Contains(buf.String(), "| baseline | lu | 2 | BBV | last-phase | trial-1 |") {
 		t.Errorf("scorecard row missing:\n%s", buf.String())
 	}
-	if len(dsmphase.TuningEncoderNames()) != 4 {
-		t.Errorf("TuningEncoderNames = %v", dsmphase.TuningEncoderNames())
+	if len(dsmphase.EncoderNames()) != 4 {
+		t.Errorf("EncoderNames = %v", dsmphase.EncoderNames())
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
+	"strings"
 
 	"dsmphase/internal/coherence"
 	"dsmphase/internal/stats"
@@ -17,6 +17,11 @@ import (
 // is byte-identical across runs, worker counts and machines. The text
 // encoder at one replicate renders the WriteFigure tables; the others
 // are grid-shaped formats with bands and per-configuration rows.
+//
+// Both report families — Report here, TuningReport in
+// tuning_encoders.go — share one format registry (newEncoders) and one
+// line writer (RowWriter), so a format name means the same thing for
+// every grid and NamedGrid.Render can pick the family alone.
 
 // Encoder renders an executed Report in one output format.
 type Encoder interface {
@@ -26,29 +31,105 @@ type Encoder interface {
 	Encode(w io.Writer, r *Report) error
 }
 
-// NewEncoder returns the named encoder ("text", "csv", "json",
-// "markdown"). title is used by formats that carry a heading.
-func NewEncoder(name, title string) (Encoder, error) {
+// newEncoders is the format registry shared by both encoder families:
+// the named format's encoder for a Report and for a TuningReport.
+func newEncoders(name, title string) (Encoder, TuningEncoder, error) {
 	switch name {
 	case "text":
-		return TextEncoder{Title: title}, nil
+		return TextEncoder{Title: title}, tuningTextEncoder{title: title}, nil
 	case "csv":
-		return CSVEncoder{}, nil
+		return CSVEncoder{}, tuningCSVEncoder{}, nil
 	case "json":
-		return JSONEncoder{}, nil
+		return JSONEncoder{}, tuningJSONEncoder{}, nil
 	case "markdown", "md":
-		return MarkdownEncoder{Title: title}, nil
+		return MarkdownEncoder{Title: title}, tuningMarkdownEncoder{title: title}, nil
 	default:
-		return nil, fmt.Errorf("harness: unknown encoder %q (want %v)", name, EncoderNames())
+		return nil, nil, fmt.Errorf("harness: unknown encoder %q (want %v)", name, EncoderNames())
 	}
 }
 
-// EncoderNames returns the registered encoder names, sorted.
-func EncoderNames() []string {
-	names := []string{"csv", "json", "markdown", "text"}
-	sort.Strings(names)
-	return names
+// NewEncoder returns the named encoder ("text", "csv", "json",
+// "markdown"). title is used by formats that carry a heading.
+func NewEncoder(name, title string) (Encoder, error) {
+	enc, _, err := newEncoders(name, title)
+	return enc, err
 }
+
+// EncoderNames returns the registered format names, sorted — the same
+// list for both encoder families.
+func EncoderNames() []string {
+	return []string{"csv", "json", "markdown", "text"}
+}
+
+// RowWriter writes report lines and keeps the first write error: every
+// later write is skipped, so an encoder — or a command rendering a
+// whole report — checks once, at the end, with Err. It is itself an
+// io.Writer (returning the kept error), so it can wrap any destination
+// a renderer is handed.
+type RowWriter struct {
+	w   io.Writer
+	buf []byte // reused line buffer
+	err error
+}
+
+// NewRowWriter wraps w.
+func NewRowWriter(w io.Writer) *RowWriter { return &RowWriter{w: w} }
+
+// Write implements io.Writer.
+func (rw *RowWriter) Write(p []byte) (int, error) {
+	if rw.err != nil {
+		return 0, rw.err
+	}
+	n, err := rw.w.Write(p)
+	rw.err = err
+	return n, err
+}
+
+// Printf writes one formatted piece of output.
+func (rw *RowWriter) Printf(format string, args ...any) {
+	if rw.err == nil {
+		rw.buf = fmt.Appendf(rw.buf[:0], format, args...)
+		rw.Write(rw.buf)
+	}
+}
+
+// CSV writes one comma-separated row; each field prints as with %v.
+func (rw *RowWriter) CSV(fields ...any) { rw.row("", ",", "", fields) }
+
+// Markdown writes one markdown table row; each cell prints as with %v.
+func (rw *RowWriter) Markdown(cells ...any) { rw.row("| ", " | ", " |", cells) }
+
+// MarkdownHeader writes a markdown table's header row and separator.
+func (rw *RowWriter) MarkdownHeader(cols ...any) {
+	rw.Markdown(cols...)
+	rw.Printf("|%s\n", strings.Repeat("---|", len(cols)))
+}
+
+// row writes fields between open and close, joined by sep, as one line.
+func (rw *RowWriter) row(open, sep, close string, fields []any) {
+	if rw.err != nil {
+		return
+	}
+	b := append(rw.buf[:0], open...)
+	for i, f := range fields {
+		if i > 0 {
+			b = append(b, sep...)
+		}
+		switch v := f.(type) {
+		case string:
+			b = append(b, v...)
+		case int:
+			b = strconv.AppendInt(b, int64(v), 10)
+		default:
+			b = fmt.Append(b, v)
+		}
+	}
+	rw.buf = append(append(b, close...), '\n')
+	rw.Write(rw.buf)
+}
+
+// Err returns the first write error, or nil.
+func (rw *RowWriter) Err() error { return rw.err }
 
 // TextEncoder renders the classic figure tables. At one replicate the
 // output is WriteFigure's: one "phases cov thBBV thDDS" block per
@@ -67,30 +148,20 @@ func (e TextEncoder) Encode(w io.Writer, r *Report) error {
 	if r.Replicates <= 1 {
 		return WriteFigure(w, e.Title, r.Curves())
 	}
-	if _, err := fmt.Fprintf(w, "== %s ==\n\n", e.Title); err != nil {
-		return err
-	}
+	rw := NewRowWriter(w)
+	rw.Printf("== %s ==\n\n", e.Title)
 	for _, c := range r.Configs {
 		if len(c.Band.Points) == 0 {
 			continue
 		}
-		if _, err := fmt.Fprintf(w, "# %s  (replicates=%d, 95%% CI)\n", c.Config.Label(), len(c.Curves)); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%-10s %-10s %-10s %-10s %-4s\n", "phases", "mean", "lo95", "hi95", "n"); err != nil {
-			return err
-		}
+		rw.Printf("# %s  (replicates=%d, 95%% CI)\n", c.Config.Label(), len(c.Curves))
+		rw.Printf("%-10s %-10s %-10s %-10s %-4s\n", "phases", "mean", "lo95", "hi95", "n")
 		for _, p := range c.Band.Points {
-			if _, err := fmt.Fprintf(w, "%-10.2f %-10.4f %-10.4f %-10.4f %-4d\n",
-				p.Phases, p.Mean, p.Lo, p.Hi, p.N); err != nil {
-				return err
-			}
+			rw.Printf("%-10.2f %-10.4f %-10.4f %-10.4f %-4d\n", p.Phases, p.Mean, p.Lo, p.Hi, p.N)
 		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
+		rw.Printf("\n")
 	}
-	return nil
+	return rw.Err()
 }
 
 // CSVEncoder renders one row per band point, band metadata in columns —
@@ -104,34 +175,25 @@ func (CSVEncoder) Name() string { return "csv" }
 // report sweeps a non-default coherence backend, so default-protocol
 // reports keep the pre-seam header byte for byte.
 func (CSVEncoder) Encode(w io.Writer, r *Report) error {
-	if reportSweepsProtocol(r) {
-		if _, err := fmt.Fprintln(w, "variant,app,procs,detector,protocol,phases,cov_mean,cov_lo95,cov_hi95,n"); err != nil {
-			return err
+	rw := NewRowWriter(w)
+	protocol := reportSweepsProtocol(r)
+	// lead is a row's configuration columns, protocol included when swept.
+	lead := func(vals ...any) []any {
+		if !protocol {
+			vals = vals[:len(vals)-1]
 		}
-		for _, c := range r.Configs {
-			for _, p := range c.Band.Points {
-				if _, err := fmt.Fprintf(w, "%s,%s,%d,%s,%s,%s,%s,%s,%s,%d\n",
-					variantName(c.Config.Variant), c.Config.App, c.Config.Procs, c.Config.Detector,
-					c.Config.Protocol, ftoa(p.Phases), ftoa(p.Mean), ftoa(p.Lo), ftoa(p.Hi), p.N); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+		return vals
 	}
-	if _, err := fmt.Fprintln(w, "variant,app,procs,detector,phases,cov_mean,cov_lo95,cov_hi95,n"); err != nil {
-		return err
-	}
+	rw.CSV(append(lead("variant", "app", "procs", "detector", "protocol"),
+		"phases", "cov_mean", "cov_lo95", "cov_hi95", "n")...)
 	for _, c := range r.Configs {
 		for _, p := range c.Band.Points {
-			if _, err := fmt.Fprintf(w, "%s,%s,%d,%s,%s,%s,%s,%s,%d\n",
-				variantName(c.Config.Variant), c.Config.App, c.Config.Procs, c.Config.Detector,
-				ftoa(p.Phases), ftoa(p.Mean), ftoa(p.Lo), ftoa(p.Hi), p.N); err != nil {
-				return err
-			}
+			rw.CSV(append(lead(variantName(c.Config.Variant), c.Config.App, c.Config.Procs,
+				c.Config.Detector, c.Config.Protocol),
+				ftoa(p.Phases), ftoa(p.Mean), ftoa(p.Lo), ftoa(p.Hi), p.N)...)
 		}
 	}
-	return nil
+	return rw.Err()
 }
 
 // reportSweepsProtocol reports whether any configuration of the report
@@ -256,16 +318,9 @@ func (e MarkdownEncoder) Encode(w io.Writer, r *Report) error {
 	if title == "" {
 		title = "Ablation scorecard"
 	}
-	if _, err := fmt.Fprintf(w, "## %s (size=%s, seed=%d, replicates=%d)\n\n",
-		title, r.Size, r.Seed, r.Replicates); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "| variant | app | procs | detector | CoV@10 | CoV@25 | ±CI@25 | vs baseline |"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "|---|---|---|---|---|---|---|---|"); err != nil {
-		return err
-	}
+	rw := NewRowWriter(w)
+	rw.Printf("## %s (size=%s, seed=%d, replicates=%d)\n\n", title, r.Size, r.Seed, r.Replicates)
+	rw.MarkdownHeader("variant", "app", "procs", "detector", "CoV@10", "CoV@25", "±CI@25", "vs baseline")
 	type point struct {
 		app      string
 		procs    int
@@ -291,14 +346,11 @@ func (e MarkdownEncoder) Encode(w io.Writer, r *Report) error {
 				delta = fmt.Sprintf("%+.1f%%", 100*(c25-base)/base)
 			}
 		}
-		if _, err := fmt.Fprintf(w, "| %s | %s | %d | %s | %s | %s | %s | %s |\n",
-			name, c.Config.App, c.Config.Procs, detectorCell(c.Config),
-			covCell(c.Band.MeanAt(10)), covCell(c25), covCell(c.Band.HalfAt(25)), delta); err != nil {
-			return err
-		}
+		rw.Markdown(name, c.Config.App, c.Config.Procs, detectorCell(c.Config),
+			covCell(c.Band.MeanAt(10)), covCell(c25), covCell(c.Band.HalfAt(25)), delta)
 	}
-	_, err := fmt.Fprintln(w)
-	return err
+	rw.Printf("\n")
+	return rw.Err()
 }
 
 // detectorCell renders a configuration's detector column, suffixing the

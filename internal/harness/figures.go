@@ -1,21 +1,15 @@
 package harness
 
-import (
-	"fmt"
-	"io"
-)
+import "io"
 
 // WriteFigure prints every curve of a figure.
 func WriteFigure(w io.Writer, title string, results []CurveResult) error {
-	if _, err := fmt.Fprintf(w, "== %s ==\n\n", title); err != nil {
-		return err
-	}
+	rw := NewRowWriter(w)
+	rw.Printf("== %s ==\n\n", title)
 	for _, c := range results {
-		if err := WriteCurve(w, c); err != nil {
-			return err
-		}
+		WriteCurve(rw, c) // rw keeps the first error
 	}
-	return nil
+	return rw.Err()
 }
 
 // CompareAtPhases reports, for a (BBV, BBV+DDV) curve pair, the CoV each

@@ -107,7 +107,7 @@ func TestGoldenTuningEncoders(t *testing.T) {
 	if err := rep.FirstError(); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range TuningEncoderNames() {
+	for _, name := range EncoderNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			enc, err := NewTuningEncoder(name, "golden tuning grid")

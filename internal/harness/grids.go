@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"io"
 	"sort"
 
 	"dsmphase/internal/coherence"
@@ -56,12 +57,58 @@ func (gp GridParams) options() []Option {
 }
 
 // NamedGrid is one registry entry: a grid name bound to its compiled
-// Spec. Tuning marks grids that run through RunTuning/RunTuningShard
-// and render with the TuningEncoder family instead of the Report one.
+// Spec. Tuning marks grids that run the online adaptive-tuning driver
+// and render with the TuningReport encoder family instead of the
+// Report one. That plain-vs-tuning decision is made here, by Hook,
+// Render and Key, and nowhere else: callers produce plan-ordered
+// results (a local run, a shard merge, a served artifact) and hand
+// them back to the grid.
 type NamedGrid struct {
 	Name   string
 	Tuning bool
 	Spec   *Spec
+}
+
+// Hook returns the engine hook the grid's cells need: the validated
+// adaptive-tuning driver (Spec.TuningHook) for tuning grids, nil
+// otherwise. A shard worker installs it so every cell carries the
+// payload the merge side assembles.
+func (g NamedGrid) Hook() (CellHook, error) {
+	if !g.Tuning {
+		return nil, nil
+	}
+	return g.Spec.TuningHook()
+}
+
+// Render assembles plan-ordered results (as RunPlan, Spec.RunShard(0,
+// 1) or MergeShards return them) with the grid's report family and
+// encodes them in the named format. The format is resolved before any
+// assembly, so an unknown name fails fast.
+func (g NamedGrid) Render(w io.Writer, format, title string, results []CellResult) error {
+	enc, tenc, err := newEncoders(format, title)
+	if err != nil {
+		return err
+	}
+	if !g.Tuning {
+		return enc.Encode(w, g.Spec.Assemble(results))
+	}
+	rep, err := g.Spec.AssembleTuning(results)
+	if err != nil {
+		return err
+	}
+	return tenc.Encode(w, rep)
+}
+
+// Key is the grid's result-cache key: the grid name, the plan's
+// fingerprint, and — because MergeShards validates them separately from
+// the fingerprint — a hash of a tuning grid's axes. Two grids share a
+// key exactly when their reports share bytes.
+func (g NamedGrid) Key() string {
+	key := g.Name + "-" + g.Spec.Plan().Fingerprint()
+	if g.Tuning {
+		key += fmt.Sprintf("-t%016x", specTuningAxes(g.Spec).hash())
+	}
+	return key
 }
 
 // gridBuilders maps grid names to their Spec constructors.

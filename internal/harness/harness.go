@@ -20,8 +20,14 @@
 //   - The tuning driver (tuning.go, tuning_encoders.go): Spec.RunTuning
 //     closes the paper's detect → predict → reconfigure loop online over
 //     live simulations through the engine's CellHook and aggregates a
-//     replicate-banded TuningReport scorecard, with its own encoder
-//     family.
+//     replicate-banded TuningReport scorecard. Its encoders come from
+//     the same format registry and write through the same RowWriter as
+//     the Report ones.
+//   - The named grids (grids.go): BuildGrid compiles the report's grids
+//     by name, and the grid decides the report family — NamedGrid.Hook
+//     installs the tuning driver, NamedGrid.Render assembles and encodes
+//     plan-ordered results, NamedGrid.Key names the cached result — so
+//     no caller branches on plain versus tuning.
 //   - Cross-machine sharding (shard.go): Spec.RunShard runs a
 //     hash-partitioned subset of the grid and serializes it as a
 //     versioned JSON shard artifact (docs/MERGE_FORMAT.md); MergeShards
@@ -252,19 +258,13 @@ func SweepMachine(m *machine.Machine, rc RunConfig, kind core.DetectorKind, sum 
 
 // WriteCurve prints a curve as "phases cov threshold" rows.
 func WriteCurve(w io.Writer, c CurveResult) error {
-	if _, err := fmt.Fprintf(w, "# %s  (intervals=%d, instrs=%d, IPC=%.3f)\n",
-		c.Label(), c.Summary.Intervals, c.Summary.Instructions, c.Summary.IPC); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-10s %-10s %-12s %-12s\n", "phases", "cov", "thBBV", "thDDS"); err != nil {
-		return err
-	}
+	rw := NewRowWriter(w)
+	rw.Printf("# %s  (intervals=%d, instrs=%d, IPC=%.3f)\n",
+		c.Label(), c.Summary.Intervals, c.Summary.Instructions, c.Summary.IPC)
+	rw.Printf("%-10s %-10s %-12s %-12s\n", "phases", "cov", "thBBV", "thDDS")
 	for _, p := range c.Curve.Points {
-		if _, err := fmt.Fprintf(w, "%-10.2f %-10.4f %-12.5f %-12.5f\n",
-			p.Phases, p.CoV, p.Threshold, p.ThresholdDDS); err != nil {
-			return err
-		}
+		rw.Printf("%-10.2f %-10.4f %-12.5f %-12.5f\n", p.Phases, p.CoV, p.Threshold, p.ThresholdDDS)
 	}
-	_, err := fmt.Fprintln(w)
-	return err
+	rw.Printf("\n")
+	return rw.Err()
 }

@@ -65,7 +65,7 @@ func FuzzReadShardArtifact(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			for _, name := range TuningEncoderNames() {
+			for _, name := range EncoderNames() {
 				enc, err := NewTuningEncoder(name, "fuzz")
 				if err != nil {
 					t.Fatal(err)

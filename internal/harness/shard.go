@@ -22,13 +22,14 @@ import (
 
 // Cross-machine sharding. A Spec's cell grid is embarrassingly parallel
 // above the cell level, so a sweep can be split across machines: each
-// worker runs `Spec.RunShard(i, n)` (or RunTuningShard) and serializes
-// its cell results into a versioned JSON shard artifact; a merge step
-// reads the n artifacts, validates that they describe the same plan
-// (fingerprints), reassembles the plan-ordered cell-result list and
-// feeds it through the same Assemble/AssembleTuning aggregation the
-// single-process run uses — so every encoder's output is byte-identical
-// to an unsharded run. See docs/MERGE_FORMAT.md for the schema.
+// worker runs `Spec.RunShard(i, n)` (with the grid's NamedGrid.Hook)
+// and serializes its cell results into a versioned JSON shard artifact;
+// a merge step reads the n artifacts, validates that they describe the
+// same plan (fingerprints), reassembles the plan-ordered cell-result
+// list and feeds it through the same Assemble/AssembleTuning
+// aggregation the single-process run uses — so every encoder's output
+// is byte-identical to an unsharded run. See docs/MERGE_FORMAT.md for
+// the schema.
 //
 // Shard assignment hashes each cell's simulation identity, so it is
 // independent of worker count, enumeration order and shard-local
@@ -146,17 +147,6 @@ func (s *Spec) Shard(shard, of int) *Plan {
 // original plan indices, ready for a shard artifact.
 func (s *Spec) RunShard(shard, of int, opts Options) []CellResult {
 	return RunPlanShard(s.Plan(), shard, of, opts)
-}
-
-// RunTuningShard is RunShard with the Spec's tuning hook installed, so
-// each cell's result carries the per-(predictor, controller) payload
-// AssembleTuning needs. Any Hook already set on opts is replaced.
-func (s *Spec) RunTuningShard(shard, of int, opts Options) ([]CellResult, error) {
-	var err error
-	if opts.Hook, err = s.TuningHook(); err != nil {
-		return nil, err
-	}
-	return s.RunShard(shard, of, opts), nil
 }
 
 // TracedExtra is the payload produced by TraceHook: the cell's recorded
@@ -352,7 +342,7 @@ type ShardTuningValue struct {
 }
 
 // NewShardGrid captures one Spec's shard results as an artifact grid.
-// tuning marks a grid run through RunTuningShard (its axes are recorded
+// tuning marks a grid run with the tuning hook (its axes are recorded
 // for merge-side validation); includeTrace serializes each cell's
 // interval records when the run captured them via TraceHook — once per
 // simulation: sibling cells sweeping the same execution get a TraceRef
@@ -404,6 +394,25 @@ func specTuningAxes(s *Spec) *ShardTuningAxes {
 		})
 	}
 	return ax
+}
+
+// hash folds the axes into the tuning half of NamedGrid.Key. Its byte
+// chain (no length guards, the budget in millionths) predates
+// hashString and is kept so existing cache keys stay valid.
+func (ax *ShardTuningAxes) hash() uint64 {
+	h := rng.Hash64(uint64(len(ax.Predictors)))
+	for _, p := range ax.Predictors {
+		for _, b := range []byte(p) {
+			h = rng.Hash64(h ^ uint64(b))
+		}
+	}
+	for _, c := range ax.Controllers {
+		for _, b := range []byte(c.Name) {
+			h = rng.Hash64(h ^ uint64(b))
+		}
+		h = rng.Hash64(h ^ uint64(c.TrialsPerConfig))
+	}
+	return rng.Hash64(h ^ uint64(int64(ax.PhaseBudget*1e6)))
 }
 
 // newShardCell serializes one cell result (trace payloads are handled

@@ -131,7 +131,7 @@ func encodeAll(t *testing.T, rep *Report) map[string][]byte {
 func encodeAllTuning(t *testing.T, rep *TuningReport) map[string][]byte {
 	t.Helper()
 	out := map[string][]byte{}
-	for _, name := range TuningEncoderNames() {
+	for _, name := range EncoderNames() {
 		enc, err := NewTuningEncoder(name, "shard identity")
 		if err != nil {
 			t.Fatal(err)
@@ -205,8 +205,9 @@ func TestMergeByteIdentity(t *testing.T) {
 }
 
 // TestMergeTuningByteIdentity is the tuning-grid analogue: sharded
-// RunTuningShard outputs merged through AssembleTuning must reproduce
-// the unsharded scorecard byte for byte in every format.
+// RunShard outputs run under the tuning hook and merged through
+// AssembleTuning must reproduce the unsharded scorecard byte for byte
+// in every format.
 func TestMergeTuningByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-backed shard runs")
@@ -220,10 +221,11 @@ func TestMergeTuningByteIdentity(t *testing.T) {
 	for of := 1; of <= 3; of++ {
 		arts := make([]*ShardArtifact, of)
 		for shard := 0; shard < of; shard++ {
-			results, err := spec.RunTuningShard(shard, of, Options{Parallel: 2})
+			hook, err := spec.TuningHook()
 			if err != nil {
 				t.Fatal(err)
 			}
+			results := spec.RunShard(shard, of, Options{Parallel: 2, Hook: hook})
 			grid, err := NewShardGrid("tuning", spec, results, true, false)
 			if err != nil {
 				t.Fatal(err)

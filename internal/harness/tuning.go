@@ -296,7 +296,7 @@ func (s *Spec) RunTuning(opts Options) (*TuningReport, error) {
 
 // TuningHook validates the Spec's tuning axes and returns the engine
 // hook that drives the online adaptive loop for every cell. Sharded
-// tuning runs (Spec.RunTuningShard) install the same hook, so a shard
+// tuning runs install the same hook (via NamedGrid.Hook), so a shard
 // worker computes exactly the per-cell payload the merge-side
 // AssembleTuning expects.
 func (s *Spec) TuningHook() (CellHook, error) {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // TuningReport encoders: the scorecard analogues of the Report encoders,
@@ -20,28 +19,12 @@ type TuningEncoder interface {
 	Encode(w io.Writer, r *TuningReport) error
 }
 
-// NewTuningEncoder returns the named tuning encoder ("text", "csv",
-// "json", "markdown"). title is used by formats that carry a heading.
+// NewTuningEncoder returns the named tuning encoder from the shared
+// format registry ("text", "csv", "json", "markdown"). title is used by
+// formats that carry a heading.
 func NewTuningEncoder(name, title string) (TuningEncoder, error) {
-	switch name {
-	case "text":
-		return tuningTextEncoder{title: title}, nil
-	case "csv":
-		return tuningCSVEncoder{}, nil
-	case "json":
-		return tuningJSONEncoder{}, nil
-	case "markdown", "md":
-		return tuningMarkdownEncoder{title: title}, nil
-	default:
-		return nil, fmt.Errorf("harness: unknown tuning encoder %q (want %v)", name, TuningEncoderNames())
-	}
-}
-
-// TuningEncoderNames returns the registered tuning encoder names, sorted.
-func TuningEncoderNames() []string {
-	names := []string{"csv", "json", "markdown", "text"}
-	sort.Strings(names)
-	return names
+	_, enc, err := newEncoders(name, title)
+	return enc, err
 }
 
 // tuningTextEncoder renders aligned scorecard columns, one row per
@@ -56,33 +39,26 @@ func (e tuningTextEncoder) Encode(w io.Writer, r *TuningReport) error {
 	if title == "" {
 		title = "Adaptive tuning scorecard"
 	}
-	if _, err := fmt.Fprintf(w, "== %s ==  (size=%s, seed=%d, replicates=%d, budget=%.0f)\n\n",
-		title, r.Size, r.Seed, r.Replicates, r.PhaseBudget); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-34s %-11s %-9s %-15s %-15s %-11s %-9s %-9s\n",
-		"configuration", "predictor", "ctl", "win-rate", "regret", "converge", "accuracy", "overhead"); err != nil {
-		return err
-	}
+	rw := NewRowWriter(w)
+	rw.Printf("== %s ==  (size=%s, seed=%d, replicates=%d, budget=%.0f)\n\n",
+		title, r.Size, r.Seed, r.Replicates, r.PhaseBudget)
+	rw.Printf("%-34s %-11s %-9s %-15s %-15s %-11s %-9s %-9s\n",
+		"configuration", "predictor", "ctl", "win-rate", "regret", "converge", "accuracy", "overhead")
 	for _, c := range r.Configs {
 		if len(c.Values) == 0 {
-			if _, err := fmt.Fprintf(w, "%-34s %-11s %-9s failed: %s\n",
+			rw.Printf("%-34s %-11s %-9s failed: %s\n",
 				c.Config.Configuration.Label(), c.Config.Predictor, c.Config.Controller.Name,
-				firstError(c.Errors)); err != nil {
-				return err
-			}
+				firstError(c.Errors))
 			continue
 		}
-		if _, err := fmt.Fprintf(w, "%-34s %-11s %-9s %-15s %-15s %-11s %-9s %-9s\n",
+		rw.Printf("%-34s %-11s %-9s %-15s %-15s %-11s %-9s %-9s\n",
 			c.Config.Configuration.Label(), c.Config.Predictor, c.Config.Controller.Name,
 			banded(c.WinRate, r.Replicates), banded(c.Regret, r.Replicates),
 			fmt.Sprintf("%.1f", c.Convergence.Mean),
-			fmt.Sprintf("%.4f", c.Accuracy.Mean), fmt.Sprintf("%.4f", c.Overhead.Mean)); err != nil {
-			return err
-		}
+			fmt.Sprintf("%.4f", c.Accuracy.Mean), fmt.Sprintf("%.4f", c.Overhead.Mean))
 	}
-	_, err := fmt.Fprintln(w)
-	return err
+	rw.Printf("\n")
+	return rw.Err()
 }
 
 // banded renders "mean" at one replicate and "mean±half" beyond.
@@ -108,36 +84,29 @@ type tuningCSVEncoder struct{}
 func (tuningCSVEncoder) Name() string { return "csv" }
 
 func (tuningCSVEncoder) Encode(w io.Writer, r *TuningReport) error {
-	if _, err := fmt.Fprintln(w, "variant,app,procs,detector,predictor,controller,"+
-		"winrate_mean,winrate_half95,regret_mean,regret_half95,"+
-		"convergence_mean,convergence_half95,accuracy_mean,accuracy_half95,"+
-		"overhead_mean,overhead_half95,n"); err != nil {
-		return err
-	}
+	rw := NewRowWriter(w)
+	rw.CSV("variant", "app", "procs", "detector", "predictor", "controller",
+		"winrate_mean", "winrate_half95", "regret_mean", "regret_half95",
+		"convergence_mean", "convergence_half95", "accuracy_mean", "accuracy_half95",
+		"overhead_mean", "overhead_half95", "n")
 	for _, c := range r.Configs {
+		row := []any{variantName(c.Config.Variant), c.Config.App, c.Config.Procs, c.Config.Detector,
+			c.Config.Predictor, c.Config.Controller.Name}
 		if len(c.Values) == 0 {
 			// Every replicate failed: empty metric fields (n=0), so a
 			// consumer cannot mistake the failure for a 0% win rate.
-			if _, err := fmt.Fprintf(w, "%s,%s,%d,%s,%s,%s,,,,,,,,,,,0\n",
-				variantName(c.Config.Variant), c.Config.App, c.Config.Procs, c.Config.Detector,
-				c.Config.Predictor, c.Config.Controller.Name); err != nil {
-				return err
-			}
+			rw.CSV(append(row, "", "", "", "", "", "", "", "", "", "", 0)...)
 			continue
 		}
-		if _, err := fmt.Fprintf(w, "%s,%s,%d,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%s,%d\n",
-			variantName(c.Config.Variant), c.Config.App, c.Config.Procs, c.Config.Detector,
-			c.Config.Predictor, c.Config.Controller.Name,
+		rw.CSV(append(row,
 			ftoa(c.WinRate.Mean), ftoa(c.WinRate.Half),
 			ftoa(c.Regret.Mean), ftoa(c.Regret.Half),
 			ftoa(c.Convergence.Mean), ftoa(c.Convergence.Half),
 			ftoa(c.Accuracy.Mean), ftoa(c.Accuracy.Half),
 			ftoa(c.Overhead.Mean), ftoa(c.Overhead.Half),
-			c.WinRate.N); err != nil {
-			return err
-		}
+			c.WinRate.N)...)
 	}
-	return nil
+	return rw.Err()
 }
 
 // tuningJSONEncoder renders the whole scorecard as one document,
@@ -241,36 +210,28 @@ func (e tuningMarkdownEncoder) Encode(w io.Writer, r *TuningReport) error {
 	if title == "" {
 		title = "Adaptive tuning scorecard"
 	}
-	if _, err := fmt.Fprintf(w, "## %s (size=%s, seed=%d, replicates=%d, budget=%.0f)\n\n",
-		title, r.Size, r.Seed, r.Replicates, r.PhaseBudget); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "| variant | app | procs | detector | predictor | controller | win-rate | ±CI | regret | converge | accuracy | overhead |"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "|---|---|---|---|---|---|---|---|---|---|---|---|"); err != nil {
-		return err
-	}
+	rw := NewRowWriter(w)
+	rw.Printf("## %s (size=%s, seed=%d, replicates=%d, budget=%.0f)\n\n",
+		title, r.Size, r.Seed, r.Replicates, r.PhaseBudget)
+	rw.MarkdownHeader("variant", "app", "procs", "detector", "predictor", "controller",
+		"win-rate", "±CI", "regret", "converge", "accuracy", "overhead")
+	// Each row is one Printf, not Markdown cells: the metric columns
+	// need their own verbs, and per-cell Sprintf strings would double
+	// the encoder's allocations on the served cache-hit path.
 	for _, c := range r.Configs {
 		if len(c.Values) == 0 {
-			if _, err := fmt.Fprintf(w, "| %s | %s | %d | %s | %s | %s | — | — | — | — | — | — |\n",
+			rw.Printf("| %s | %s | %d | %s | %s | %s | — | — | — | — | — | — |\n",
 				variantName(c.Config.Variant), c.Config.App, c.Config.Procs, c.Config.Detector,
-				c.Config.Predictor, c.Config.Controller.Name); err != nil {
-				return err
-			}
+				c.Config.Predictor, c.Config.Controller.Name)
 			continue
 		}
-		if _, err := fmt.Fprintf(w, "| %s | %s | %d | %s | %s | %s | %.4f | %.4f | %+.2f%% | %.1f | %.4f | %.2f%% |\n",
+		rw.Printf("| %s | %s | %d | %s | %s | %s | %.4f | %.4f | %+.2f%% | %.1f | %.4f | %.2f%% |\n",
 			variantName(c.Config.Variant), c.Config.App, c.Config.Procs, c.Config.Detector,
 			c.Config.Predictor, c.Config.Controller.Name,
 			c.WinRate.Mean, c.WinRate.Half, 100*c.Regret.Mean,
-			c.Convergence.Mean, c.Accuracy.Mean, 100*c.Overhead.Mean); err != nil {
-			return err
-		}
+			c.Convergence.Mean, c.Accuracy.Mean, 100*c.Overhead.Mean)
 	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
+	rw.Printf("\n")
 	// A failed cell surfaces in every predictor × controller row of its
 	// configuration; report each (configuration, error) once.
 	seen := map[string]bool{}
@@ -281,10 +242,8 @@ func (e tuningMarkdownEncoder) Encode(w io.Writer, r *TuningReport) error {
 				continue
 			}
 			seen[key] = true
-			if _, err := fmt.Fprintf(w, "- failed `%s`: %s\n", c.Config.Configuration.Label(), msg); err != nil {
-				return err
-			}
+			rw.Printf("- failed `%s`: %s\n", c.Config.Configuration.Label(), msg)
 		}
 	}
-	return nil
+	return rw.Err()
 }

@@ -115,7 +115,7 @@ func TestRunTuningDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range TuningEncoderNames() {
+	for _, name := range EncoderNames() {
 		enc, err := NewTuningEncoder(name, "determinism")
 		if err != nil {
 			t.Fatal(err)

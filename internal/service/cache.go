@@ -2,7 +2,6 @@ package service
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"dsmphase/internal/harness"
-	"dsmphase/internal/rng"
 )
 
 // The result cache. A finished job's merged results are serialized as
@@ -48,30 +46,11 @@ func NewCache(dir string, budget int64) (*Cache, error) {
 	return &Cache{dir: dir, budget: budget}, nil
 }
 
-// JobKey derives the cache key of a grid job: the grid name, the
-// plan's fingerprint, and — because MergeShards validates them
-// separately from the fingerprint — the tuning axes of tuning grids.
-// Two submissions share a key exactly when their reports share bytes.
-func JobKey(g harness.NamedGrid) string {
-	key := g.Name + "-" + g.Spec.Plan().Fingerprint()
-	if g.Tuning {
-		h := rng.Hash64(uint64(len(g.Spec.Predictors())))
-		for _, p := range g.Spec.Predictors() {
-			for _, b := range []byte(p) {
-				h = rng.Hash64(h ^ uint64(b))
-			}
-		}
-		for _, c := range g.Spec.Controllers() {
-			for _, b := range []byte(c.Name) {
-				h = rng.Hash64(h ^ uint64(b))
-			}
-			h = rng.Hash64(h ^ uint64(c.TrialsPerConfig))
-		}
-		h = rng.Hash64(h ^ uint64(int64(g.Spec.PhaseBudget()*1e6)))
-		key += fmt.Sprintf("-t%016x", h)
-	}
-	return key
-}
+// JobKey derives the cache key of a grid job (harness.NamedGrid.Key):
+// the grid name, the plan's fingerprint and, for tuning grids, a hash
+// of the tuning axes. Two submissions share a key exactly when their
+// reports share bytes.
+func JobKey(g harness.NamedGrid) string { return g.Key() }
 
 func (c *Cache) path(key string) string {
 	// Keys are [-a-z0-9] by construction (grid names + hex); guard

@@ -96,7 +96,6 @@ type ChaosResult struct {
 // clock — the artifact's only nondeterministic field — zeroed.
 type chaosRef struct {
 	grid    harness.NamedGrid
-	formats []string
 	reports map[string][]byte
 	cells   map[int]harness.ShardCell
 }
@@ -121,43 +120,20 @@ func buildChaosRef(req JobRequest) (*chaosRef, error) {
 	if err != nil {
 		return nil, err
 	}
+	hook, err := g.Hook()
+	if err != nil {
+		return nil, err
+	}
+	// One simulation of the grid feeds both halves of the oracle: the
+	// report bytes in every format and the per-cell artifact entries.
+	results := g.Spec.RunShard(0, 1, harness.Options{Hook: hook})
 	ref := &chaosRef{grid: g, reports: map[string][]byte{}, cells: map[int]harness.ShardCell{}}
-	var results []harness.CellResult
-	if g.Tuning {
-		ref.formats = harness.TuningEncoderNames()
-		rep, err := g.Spec.RunTuning(harness.Options{})
-		if err != nil {
+	for _, format := range harness.EncoderNames() {
+		var buf bytes.Buffer
+		if err := g.Render(&buf, format, req.Grid, results); err != nil {
 			return nil, err
 		}
-		for _, format := range ref.formats {
-			enc, err := harness.NewTuningEncoder(format, req.Grid)
-			if err != nil {
-				return nil, err
-			}
-			var buf bytes.Buffer
-			if err := enc.Encode(&buf, rep); err != nil {
-				return nil, err
-			}
-			ref.reports[format] = buf.Bytes()
-		}
-		if results, err = g.Spec.RunTuningShard(0, 1, harness.Options{}); err != nil {
-			return nil, err
-		}
-	} else {
-		ref.formats = harness.EncoderNames()
-		rep := g.Spec.Run(harness.Options{})
-		for _, format := range ref.formats {
-			enc, err := harness.NewEncoder(format, req.Grid)
-			if err != nil {
-				return nil, err
-			}
-			var buf bytes.Buffer
-			if err := enc.Encode(&buf, rep); err != nil {
-				return nil, err
-			}
-			ref.reports[format] = buf.Bytes()
-		}
-		results = g.Spec.RunShard(0, 1, harness.Options{})
+		ref.reports[format] = buf.Bytes()
 	}
 	sg, err := harness.NewShardGrid(g.Name, g.Spec, results, g.Tuning, false)
 	if err != nil {
@@ -258,7 +234,7 @@ func runChaosSchedule(cc ChaosConfig, k int, dataDir string, ref *chaosRef, req 
 			return out, fail("done job lists injured cells %v", st.Injured)
 		}
 		var violations []string
-		for _, format := range ref.formats {
+		for _, format := range harness.EncoderNames() {
 			var buf bytes.Buffer
 			if err := j.RenderReport(coord, &buf, format, req.Grid); err != nil {
 				violations = append(violations, fail("%s report: %v", format, err)...)
@@ -334,7 +310,7 @@ func checkDegraded(coord *Coordinator, j *Job, st JobStatus, ref *chaosRef, plan
 		violations = append(violations, fail("%d error cells in artifact, %d listed injured", seen, len(st.Injured))...)
 	}
 	// A degraded report is still a report: every encoder renders it.
-	for _, format := range ref.formats {
+	for _, format := range harness.EncoderNames() {
 		var buf bytes.Buffer
 		if err := j.RenderReport(coord, &buf, format, j.Req.Grid); err != nil {
 			violations = append(violations, fail("degraded %s report: %v", format, err)...)
@@ -421,7 +397,7 @@ func checkCacheCorruption(cc ChaosConfig, dataDir string, ref *chaosRef) []strin
 		violations = append(violations, fail("corrupt entry was not counted dropped")...)
 	}
 	j2, _ := coord.Job(st2.ID)
-	for _, format := range ref.formats {
+	for _, format := range harness.EncoderNames() {
 		var buf bytes.Buffer
 		if err := j2.RenderReport(coord, &buf, format, req.Grid); err != nil {
 			violations = append(violations, fail("%s report: %v", format, err)...)

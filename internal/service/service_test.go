@@ -81,27 +81,13 @@ func directReport(t *testing.T, req JobRequest, format string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hook, err := g.Hook()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if g.Tuning {
-		rep, err := g.Spec.RunTuning(harness.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc, err := harness.NewTuningEncoder(format, req.Grid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Encode(&buf, rep); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		enc, err := harness.NewEncoder(format, req.Grid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Encode(&buf, g.Spec.Run(harness.Options{})); err != nil {
-			t.Fatal(err)
-		}
+	if err := g.Render(&buf, format, req.Grid, harness.RunPlan(g.Spec.Plan(), harness.Options{Hook: hook})); err != nil {
+		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
@@ -176,7 +162,7 @@ func TestServiceEndToEnd(t *testing.T) {
 }
 
 // TestServiceTuningEndToEnd covers the other encoder family: a tuning
-// grid served through RunTuningShard and the TuningEncoder set.
+// grid served through the tuning hook and the TuningEncoder set.
 func TestServiceTuningEndToEnd(t *testing.T) {
 	coord := newTestCoordinator(t, nil)
 	srv := httptest.NewServer(coord.Handler())
@@ -186,7 +172,7 @@ func TestServiceTuningEndToEnd(t *testing.T) {
 	req := testRequest()
 	req.Grid = "tuning"
 	st := submitAndWait(t, client, req)
-	for _, format := range harness.TuningEncoderNames() {
+	for _, format := range harness.EncoderNames() {
 		served, err := client.Report(st.ID, format, req.Grid)
 		if err != nil {
 			t.Fatalf("%s tuning report: %v", format, err)
